@@ -1060,19 +1060,21 @@ int cmd_recover(Flags& flags, std::ostream& out, std::ostream& err) {
                    : "")
         << "\n";
 
-    // Digest over the (repaired) decision log: exact equality witness.
-    const serve::SegmentedWalScan wal =
-        serve::scan_segmented_wal(sc.wal_path, &recovery_pool);
-    StateWriter w;
-    for (const serve::WalRecord& rec : wal.records) {
-      w.u64(rec.seq);
-      w.u64(rec.stream_index);
-      w.f64(rec.arrival);
-      w.f64(rec.departure);
-      w.f64(rec.size);
-      w.i64(rec.bin);
-    }
-    const std::uint32_t digest = crc32(w.buffer().data(), w.size());
+    // Digest over the (repaired) decision log: exact equality witness. The
+    // CRC is chained record by record over each record's 48 LE bytes.
+    std::uint32_t digest = 0;
+    serve::stream_segmented_wal(
+        sc.wal_path, serve::validate_segmented_wal(sc.wal_path, &recovery_pool),
+        0, [&digest](const serve::WalRecord& rec) {
+          StateWriter w;
+          w.u64(rec.seq);
+          w.u64(rec.stream_index);
+          w.f64(rec.arrival);
+          w.f64(rec.departure);
+          w.f64(rec.size);
+          w.i64(rec.bin);
+          digest = crc32(w.buffer().data(), w.size(), digest);
+        });
     const Cost cost = session.finish();
     session.close();
     total += cost;
@@ -1089,12 +1091,13 @@ int cmd_recover(Flags& flags, std::ostream& out, std::ostream& err) {
 int cmd_wal_dump(Flags& flags, std::ostream& out) {
   const std::string path = flags.require("wal");
   flags.finish();
-  const auto print_records = [&](const std::vector<serve::WalRecord>& records) {
-    out << "seq,stream_index,arrival,departure,size,bin\n";
-    for (const serve::WalRecord& rec : records)
-      out << rec.seq << ',' << rec.stream_index << ','
-          << num_exact(rec.arrival) << ',' << num_exact(rec.departure) << ','
-          << num_exact(rec.size) << ',' << rec.bin << "\n";
+  // Records print as they are read, under this header.
+  static constexpr char kHeader[] =
+      "seq,stream_index,arrival,departure,size,bin\n";
+  const auto print_record = [&](const serve::WalRecord& rec) {
+    out << rec.seq << ',' << rec.stream_index << ',' << num_exact(rec.arrival)
+        << ',' << num_exact(rec.departure) << ',' << num_exact(rec.size)
+        << ',' << rec.bin << "\n";
   };
   // "type1=N type7=M" for a frame-type histogram; type 1 is the offer
   // record, anything else was skipped as an unknown (newer-writer) kind.
@@ -1112,8 +1115,9 @@ int cmd_wal_dump(Flags& flags, std::ostream& out) {
   const bool raw_segment =
       path.size() > 4 && path.compare(path.size() - 4, 4, ".seg") == 0;
   if (!raw_segment && serve::read_wal_manifest(path)) {
-    const serve::SegmentedWalScan scan = serve::scan_segmented_wal(path);
-    print_records(scan.records);
+    const serve::SegmentedWalScan scan = serve::validate_segmented_wal(path);
+    out << kHeader;
+    serve::stream_segmented_wal(path, scan, 0, print_record);
     std::map<unsigned, std::uint64_t> totals;
     for (std::size_t i = 0; i < scan.segment_frame_types.size(); ++i) {
       out << "# segment " << scan.manifest.segments[i].file << ": frames "
@@ -1123,7 +1127,7 @@ int cmd_wal_dump(Flags& flags, std::ostream& out) {
     }
     out << "# frames " << fmt_frame_types(totals)
         << " skipped_unknown=" << scan.unknown_records << "\n";
-    out << "# records=" << scan.records.size()
+    out << "# records=" << scan.record_count
         << " segments=" << scan.segments_scanned
         << " first_seq=" << scan.first_seq;
     if (scan.unknown_records > 0)
@@ -1135,12 +1139,13 @@ int cmd_wal_dump(Flags& flags, std::ostream& out) {
           << " unreachable records)\n";
     return 0;
   }
-  const serve::WalReadResult wal = serve::read_wal(path);
-  if (!wal.exists) throw std::runtime_error("no such WAL file: " + path);
-  print_records(wal.records);
+  if (!io::Env::posix().exists(path))
+    throw std::runtime_error("no such WAL file: " + path);
+  out << kHeader;
+  const serve::WalFileScan wal = serve::stream_wal(path, print_record);
   out << "# frames " << fmt_frame_types(wal.frame_type_counts)
       << " skipped_unknown=" << wal.unknown_records << "\n";
-  out << "# records=" << wal.records.size()
+  out << "# records=" << wal.record_count
       << " valid_bytes=" << wal.valid_bytes;
   if (wal.unknown_records > 0)
     out << " unknown_records=" << wal.unknown_records;

@@ -136,40 +136,47 @@ void truncate_file(File& f, std::uint64_t size, const std::string& path,
   }
 }
 
-bool read_file(Env& env, const std::string& path, std::string& out,
-               const RetryPolicy& rp) {
-  out.clear();
-  std::unique_ptr<File> f;
-  std::uint32_t open_transient = 0;
+std::unique_ptr<File> open_existing(Env& env, const std::string& path,
+                                    const RetryPolicy& rp) {
+  std::uint32_t transient = 0;
   for (;;) {
     int err = 0;
-    f = env.open(path, OpenMode::kRead, err);
-    if (f) break;
+    std::unique_ptr<File> f = env.open(path, OpenMode::kRead, err);
+    if (f) return f;
     // ENOENT stays "missing" even when transient noise preceded it: a
     // retried open must not turn an absent file into a hard error.
-    if (err == ENOENT) return false;
-    if (transient_errno(err) && open_transient < rp.max_transient_retries) {
-      backoff_sleep(rp, ++open_transient);
+    if (err == ENOENT) return nullptr;
+    if (transient_errno(err) && transient < rp.max_transient_retries) {
+      backoff_sleep(rp, ++transient);
       continue;
     }
     throw_errno("open", path, err);
   }
-  char buf[1 << 16];
+}
+
+std::size_t read_some(File& f, void* buf, std::size_t n,
+                      const std::string& path, const RetryPolicy& rp) {
   std::uint32_t transient = 0;
   for (;;) {
-    int rerr = 0;
-    const std::int64_t r = f->read(buf, sizeof(buf), rerr);
-    if (r < 0) {
-      if (transient_errno(rerr) && transient < rp.max_transient_retries) {
-        backoff_sleep(rp, ++transient);
-        continue;
-      }
-      throw_errno("read", path, rerr);
+    int err = 0;
+    const std::int64_t r = f.read(buf, n, err);
+    if (r >= 0) return static_cast<std::size_t>(r);
+    if (transient_errno(err) && transient < rp.max_transient_retries) {
+      backoff_sleep(rp, ++transient);
+      continue;
     }
-    if (r == 0) break;
-    transient = 0;
-    out.append(buf, static_cast<std::size_t>(r));
+    throw_errno("read", path, err);
   }
+}
+
+bool read_file(Env& env, const std::string& path, std::string& out,
+               const RetryPolicy& rp) {
+  out.clear();
+  const std::unique_ptr<File> f = open_existing(env, path, rp);
+  if (!f) return false;
+  char buf[1 << 16];
+  while (const std::size_t r = read_some(*f, buf, sizeof(buf), path, rp))
+    out.append(buf, r);
   int cerr = 0;
   (void)f->close(cerr);
   return true;

@@ -195,6 +195,18 @@ void sync_file(File& f, const std::string& path, const RetryPolicy& rp = {});
 void truncate_file(File& f, std::uint64_t size, const std::string& path,
                    const RetryPolicy& rp = {});
 
+/// Opens `path` for reading, retrying transient failures. Returns nullptr
+/// if the file does not exist; throws on any other error.
+[[nodiscard]] std::unique_ptr<File> open_existing(Env& env,
+                                                  const std::string& path,
+                                                  const RetryPolicy& rp = {});
+
+/// One read of up to `n` bytes, retrying transient errors. Returns the byte
+/// count (0 = EOF); throws on a hard error (EIO), which is never EOF.
+[[nodiscard]] std::size_t read_some(File& f, void* buf, std::size_t n,
+                                    const std::string& path,
+                                    const RetryPolicy& rp = {});
+
 /// Reads the whole file into `out`. Returns false (out empty) if the file
 /// does not exist; throws on any other error.
 [[nodiscard]] bool read_file(Env& env, const std::string& path,

@@ -73,17 +73,17 @@ void write_checkpoint_file(io::Env& env, const std::string& path,
 /// log, and a masked operational error everywhere else.
 bool read_checkpoint_file(io::Env& env, const std::string& path,
                           std::string& payload) {
-  std::string data;
-  if (!io::read_file(env, path, data)) return false;
-  if (data.size() < sizeof(kCkptMagic) + 12 ||
-      std::memcmp(data.data(), kCkptMagic, sizeof(kCkptMagic)) != 0)
+  if (!io::read_file(env, path, payload)) return false;
+  if (payload.size() < sizeof(kCkptMagic) + 12 ||
+      std::memcmp(payload.data(), kCkptMagic, sizeof(kCkptMagic)) != 0)
     throw std::runtime_error("checkpoint: bad header in '" + path + "'");
-  StateReader r(std::string_view(data).substr(sizeof(kCkptMagic)));
+  StateReader r(std::string_view(payload).substr(sizeof(kCkptMagic)));
   const std::uint64_t len = r.u64();
   const std::uint32_t crc = r.u32();
   if (r.remaining() != len)
     throw std::runtime_error("checkpoint: truncated file '" + path + "'");
-  payload = data.substr(sizeof(kCkptMagic) + 12);
+  // Strip the header in place: the file is held once, not twice.
+  payload.erase(0, sizeof(kCkptMagic) + 12);
   if (crc32(payload.data(), payload.size()) != crc)
     throw std::runtime_error("checkpoint: CRC mismatch in '" + path + "'");
   return true;
@@ -128,34 +128,32 @@ DurableSession::DurableSession(AlgorithmPtr algo, std::string algo_name,
   }
 }
 
-void DurableSession::replay(const std::vector<WalRecord>& records,
-                            std::uint64_t from_seq) {
-  for (const WalRecord& rec : records) {
-    if (rec.seq < from_seq) continue;
-    if (rec.seq != seq_)
-      throw std::runtime_error("recovery: WAL sequence gap (expected " +
-                               std::to_string(seq_) + ", found " +
-                               std::to_string(rec.seq) + ")");
-    const BinId bin = session_.offer(rec.arrival, rec.departure, rec.size);
-    if (bin != rec.bin)
-      throw std::runtime_error(
-          "recovery: replay diverged at seq " + std::to_string(rec.seq) +
-          " (log says bin " + std::to_string(rec.bin) + ", " + algo_name_ +
-          " chose " + std::to_string(bin) + ") — wrong --algo?");
-    ++seq_;
-    note_stream_index(rec.stream_index, rec.tenant);
-    ++recovery_.replayed;
-    g_replayed.add();
-  }
+void DurableSession::replay(const WalRecord& rec, std::uint64_t from_seq) {
+  if (rec.seq < from_seq) return;
+  if (rec.seq != seq_)
+    throw std::runtime_error("recovery: WAL sequence gap (expected " +
+                             std::to_string(seq_) + ", found " +
+                             std::to_string(rec.seq) + ")");
+  const BinId bin = session_.offer(rec.arrival, rec.departure, rec.size);
+  if (bin != rec.bin)
+    throw std::runtime_error(
+        "recovery: replay diverged at seq " + std::to_string(rec.seq) +
+        " (log says bin " + std::to_string(rec.bin) + ", " + algo_name_ +
+        " chose " + std::to_string(bin) + ") — wrong --algo?");
+  ++seq_;
+  note_stream_index(rec.stream_index, rec.tenant);
+  ++recovery_.replayed;
+  g_replayed.add();
 }
 
 SegmentedWalScan DurableSession::recover() {
-  SegmentedWalScan scan =
-      scan_segmented_wal(config_.wal_path, config_.recovery_pool, config_.env);
+  // Pass 1: validate every segment, counting records without keeping any.
+  SegmentedWalScan scan = validate_segmented_wal(
+      config_.wal_path, config_.recovery_pool, config_.env);
   recovery_.wal_existed = scan.exists;
   recovery_.torn = scan.torn;
   recovery_.tail_error = scan.tail_error;
-  recovery_.records = scan.records.size();
+  recovery_.records = scan.record_count;
   recovery_.first_seq = scan.first_seq;
   recovery_.segments_scanned = scan.segments_scanned;
   recovery_.dropped_records = scan.dropped_records;
@@ -165,7 +163,7 @@ SegmentedWalScan DurableSession::recover() {
   recovery_.truncated_bytes =
       repair_segmented_wal(config_.wal_path, scan, config_.env);
 
-  const std::uint64_t log_end = scan.first_seq + scan.records.size();
+  const std::uint64_t log_end = scan.first_seq + scan.record_count;
   std::uint64_t from_seq = 0;
   std::string payload;
   if (checkpointable_ &&
@@ -213,7 +211,11 @@ SegmentedWalScan DurableSession::recover() {
         std::to_string(scan.first_seq) +
         " but no usable checkpoint covers the missing prefix ('" +
         config_.checkpoint_path + "')");
-  replay(scan.records, from_seq);
+  // Pass 2: re-read the repaired prefix, applying each record as soon as
+  // its frame is decoded and CRC-checked again.
+  stream_segmented_wal(
+      config_.wal_path, scan, from_seq,
+      [&](const WalRecord& rec) { replay(rec, from_seq); }, config_.env);
   return scan;
 }
 

@@ -21,21 +21,29 @@
 // drained batch without per-record durability, issues ONE commit() for the
 // batch, and only then acknowledges any of it. Same contract, one fsync.
 //
-// Recovery path (resume=true):
-//   1. scan every WAL segment (in parallel on `recovery_pool` when given),
-//      keep the global intact prefix, truncate the torn segment in place
-//      and drop unreachable later segments;
+// Recovery path (resume=true) — two streamed passes over the segment
+// chain, each reading a segment through one fixed-size frame buffer, so
+// recovery memory does not grow with the size of the log (no WalRecord
+// container exists on this path):
+//   1. pass 1 CRC-validates every WAL segment (in parallel on
+//      `recovery_pool` when given), counting records only; the global
+//      intact prefix it finds is repaired in place — the torn segment
+//      truncated, unreachable later segments dropped. A read error (EIO)
+//      is not a torn tail: it throws before any file is touched;
 //   2. if a valid checkpoint exists for this algorithm covering at least
-//      the compacted-away prefix (first_seq <= checkpoint_seq <= end of
-//      log): restore session and (when the algorithm is Checkpointable)
-//      algorithm state from it, then replay only the WAL tail; otherwise
-//      replay the whole log from scratch — the fallback for
-//      non-checkpointable algorithms (dfit, harmonic). A compacted log
-//      (first_seq > 0) REQUIRES a usable checkpoint; recovery throws
-//      rather than silently serving from a truncated history;
-//   3. every replayed decision is verified against the logged bin; a
-//      mismatch (non-deterministic algorithm, wrong --algo) aborts recovery
-//      with std::runtime_error rather than serving from a diverged state.
+//      the compacted-away prefix (first_seq <= checkpoint_seq <= the log
+//      end pass 1 counted): restore session and (when the algorithm is
+//      Checkpointable) algorithm state from it; otherwise start from
+//      scratch — the fallback for non-checkpointable algorithms (dfit,
+//      harmonic). A compacted log (first_seq > 0) REQUIRES a usable
+//      checkpoint; recovery throws rather than silently serving from a
+//      truncated history;
+//   3. pass 2 re-reads the repaired prefix from the checkpoint's seq,
+//      re-checking every CRC, and replays each record as soon as it is
+//      decoded. Every replayed decision is verified against the logged
+//      bin; a mismatch (non-deterministic algorithm, wrong --algo) aborts
+//      recovery with std::runtime_error rather than serving from a
+//      diverged state.
 #pragma once
 
 #include <cstdint>
@@ -184,7 +192,7 @@ class DurableSession {
 
  private:
   SegmentedWalScan recover();
-  void replay(const std::vector<WalRecord>& records, std::uint64_t from_seq);
+  void replay(const WalRecord& rec, std::uint64_t from_seq);
   [[nodiscard]] WalRecord make_record(Time arrival, Time departure, Load size,
                                       std::uint64_t stream_index, BinId bin,
                                       std::string_view tenant);

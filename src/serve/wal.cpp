@@ -1,5 +1,7 @@
 #include "serve/wal.h"
 
+#include <array>
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
@@ -21,9 +23,7 @@ constexpr std::uint8_t kRecordOfferTenant = 2;
 // Fixed offer-record payload: type + seq + stream_index + 3 doubles + bin.
 // A tenant offer (type 2) appends `u64 tenant_len | tenant bytes` to it.
 constexpr std::size_t kOfferPayload = 1 + 8 + 8 + 8 + 8 + 8 + 8;
-// Envelope sanity bound: no legitimate record is this large, so a length
-// beyond it is torn-tail garbage, not a future record type.
-constexpr std::uint32_t kMaxFramePayload = 1u << 20;
+static_assert(kSegmentHeaderBytes <= kWalReadBufferBytes);
 
 // Namespace-scope references: no initialization-guard load per append.
 obs::Counter& g_appends =
@@ -40,6 +40,56 @@ std::uint32_t read_u32_le(const unsigned char* p) {
          (static_cast<std::uint32_t>(p[2]) << 16) |
          (static_cast<std::uint32_t>(p[3]) << 24);
 }
+
+std::uint64_t read_u64_le(const unsigned char* p) {
+  return std::uint64_t{read_u32_le(p)} |
+         (std::uint64_t{read_u32_le(p + 4)} << 32);
+}
+
+/// A file's unread bytes through one fixed kWalReadBufferBytes window.
+/// fill(n) slides the unread tail to the front and reads until n bytes are
+/// available or the file ends, so a frame that straddles two reads is
+/// still validated from contiguous memory.
+class FrameBuffer {
+ public:
+  FrameBuffer(io::File& file, const std::string& path)
+      : file_(file), path_(path), buf_(new unsigned char[kWalReadBufferBytes]) {}
+
+  /// True once `n` (<= kWalReadBufferBytes) unread bytes are available;
+  /// false if the file ends first. Read errors throw.
+  bool fill(std::size_t n) {
+    while (end_ - pos_ < n) {
+      if (eof_) return false;
+      if (pos_ == end_) {
+        pos_ = end_ = 0;
+      } else if (kWalReadBufferBytes - pos_ < n) {
+        std::memmove(buf_.get(), buf_.get() + pos_, end_ - pos_);
+        end_ -= pos_;
+        pos_ = 0;
+      }
+      const std::size_t got = io::read_some(
+          file_, buf_.get() + end_, kWalReadBufferBytes - end_, path_);
+      if (got == 0) eof_ = true;
+      end_ += got;
+    }
+    return true;
+  }
+
+  [[nodiscard]] const unsigned char* data() const noexcept {
+    return buf_.get() + pos_;
+  }
+  [[nodiscard]] std::size_t available() const noexcept { return end_ - pos_; }
+  void consume(std::size_t n) noexcept { pos_ += n; }
+
+ private:
+  io::File& file_;
+  const std::string& path_;
+  // Left uninitialized, so pages a short file never reaches stay untouched.
+  std::unique_ptr<unsigned char[]> buf_;
+  std::size_t pos_ = 0;
+  std::size_t end_ = 0;
+  bool eof_ = false;
+};
 
 // io::sync_file (EINTR-retrying) wrapped with the fsync metrics.
 void fsync_file(io::File& f, const std::string& path) {
@@ -185,62 +235,65 @@ void WalWriter::close() {
                              "': " + std::strerror(err));
 }
 
-WalReadResult read_wal(const std::string& path, io::Env* env) {
-  WalReadResult out;
-  std::string data;
-  if (!io::read_file(io::env_or_posix(env), path, data))
-    return out;  // missing file: empty log, not an error
+WalFileScan stream_wal(const std::string& path, const WalRecordVisitor& visit,
+                       io::Env* env) {
+  WalFileScan out;
+  const std::unique_ptr<io::File> file =
+      io::open_existing(io::env_or_posix(env), path);
+  if (!file) return out;  // missing file: empty log, not an error
   out.exists = true;
+  const auto tear = [&out](const char* why) {
+    out.torn = true;
+    out.tail_error = why;
+  };
 
-  std::size_t pos = 0;
-  if (data.size() >= sizeof(kWalMagicV1) &&
-      std::memcmp(data.data(), kWalMagicV1, sizeof(kWalMagicV1)) == 0) {
+  FrameBuffer in(*file, path);
+  in.fill(kSegmentHeaderBytes);  // a shorter file is judged on what it has
+  std::uint64_t pos = 0;
+  if (in.available() >= sizeof(kWalMagicV1) &&
+      std::memcmp(in.data(), kWalMagicV1, sizeof(kWalMagicV1)) == 0) {
     pos = sizeof(kWalMagicV1);
-  } else if (data.size() >= kSegmentHeaderBytes &&
-             std::memcmp(data.data(), kWalMagicV2, sizeof(kWalMagicV2)) ==
-                 0) {
-    StateReader r(std::string_view(data).substr(sizeof(kWalMagicV2)));
+  } else if (in.available() >= kSegmentHeaderBytes &&
+             std::memcmp(in.data(), kWalMagicV2, sizeof(kWalMagicV2)) == 0) {
+    StateReader r(std::string_view(
+        reinterpret_cast<const char*>(in.data()) + sizeof(kWalMagicV2), 12));
     const std::uint64_t base_seq = r.u64();
     const std::uint32_t crc = r.u32();
     StateWriter seq_bytes;
     seq_bytes.u64(base_seq);
     if (crc32(seq_bytes.buffer().data(), seq_bytes.size()) != crc) {
-      out.torn = true;
-      out.tail_error = "corrupt segment header";
+      tear("corrupt segment header");
       return out;
     }
     out.base_seq = base_seq;
     pos = kSegmentHeaderBytes;
   } else {
-    out.torn = true;
-    out.tail_error = "missing or corrupt WAL header";
+    tear("missing or corrupt WAL header");
     return out;
   }
-
+  in.consume(pos);
   out.valid_bytes = pos;
-  while (pos < data.size()) {
-    if (data.size() - pos < 8) {
-      out.torn = true;
-      out.tail_error = "partial frame header";
+
+  std::array<std::uint64_t, 256> type_counts{};
+  WalRecord rec;  // decoded in place: no allocation per frame
+  for (;;) {
+    if (!in.fill(8)) {
+      if (in.available() > 0) tear("partial frame header");
       break;
     }
-    const auto* p = reinterpret_cast<const unsigned char*>(data.data() + pos);
-    const std::uint32_t len = read_u32_le(p);
-    const std::uint32_t crc = read_u32_le(p + 4);
+    const std::uint32_t len = read_u32_le(in.data());
+    const std::uint32_t crc = read_u32_le(in.data() + 4);
     if (len == 0 || len > kMaxFramePayload) {
-      out.torn = true;
-      out.tail_error = "bad frame length";
+      tear("bad frame length");
       break;
     }
-    if (data.size() - pos - 8 < len) {
-      out.torn = true;
-      out.tail_error = "partial frame payload";
+    if (!in.fill(8 + std::size_t{len})) {
+      tear("partial frame payload");
       break;
     }
-    const char* payload = data.data() + pos + 8;
+    const char* payload = reinterpret_cast<const char*>(in.data() + 8);
     if (crc32(payload, len) != crc) {
-      out.torn = true;
-      out.tail_error = "frame CRC mismatch";
+      tear("frame CRC mismatch");
       break;
     }
     const auto type = static_cast<std::uint8_t>(payload[0]);
@@ -249,28 +302,32 @@ WalReadResult read_wal(const std::string& path, io::Env* env) {
       // tenant that must consume the remainder of the payload exactly.
       const bool tenanted = type == kRecordOfferTenant;
       if (tenanted ? len < kOfferPayload + 8 : len != kOfferPayload) {
-        out.torn = true;
-        out.tail_error = "bad offer frame length";
+        tear("bad offer frame length");
         break;
       }
-      StateReader r(std::string_view(payload + 1, len - 1));
-      WalRecord rec;
-      rec.seq = r.u64();
-      rec.stream_index = r.u64();
-      rec.arrival = r.f64();
-      rec.departure = r.f64();
-      rec.size = r.f64();
-      rec.bin = r.i64();
-      if (tenanted) {
-        const std::uint64_t tenant_len = r.u64();
-        if (tenant_len == 0 || tenant_len != r.remaining()) {
-          out.torn = true;
-          out.tail_error = "bad offer frame length";
-          break;
-        }
-        rec.tenant.assign(payload + kOfferPayload + 8, tenant_len);
+      // Body, past the envelope and type byte: u64 seq | u64 stream_index
+      // | f64 x3 | i64 bin [| u64 tenant_len | tenant], little-endian.
+      const unsigned char* body = in.data() + 8 + 1;
+      const std::uint64_t tenant_len = tenanted ? read_u64_le(body + 48) : 0;
+      if (tenanted &&
+          (tenant_len == 0 || tenant_len != len - kOfferPayload - 8)) {
+        tear("bad offer frame length");
+        break;
       }
-      out.records.push_back(std::move(rec));
+      if (out.record_count++ == 0) out.first_record_seq = read_u64_le(body);
+      if (visit) {  // a counting pass skips the decode
+        rec.seq = read_u64_le(body);
+        rec.stream_index = read_u64_le(body + 8);
+        rec.arrival = std::bit_cast<double>(read_u64_le(body + 16));
+        rec.departure = std::bit_cast<double>(read_u64_le(body + 24));
+        rec.size = std::bit_cast<double>(read_u64_le(body + 32));
+        rec.bin = static_cast<BinId>(read_u64_le(body + 40));
+        if (tenanted)
+          rec.tenant.assign(payload + kOfferPayload + 8, tenant_len);
+        else
+          rec.tenant.clear();
+        visit(rec);
+      }
     } else {
       // Envelope-valid frame of a type this reader does not know: a newer
       // writer's record kind. Skip it — the CRC already proved it is not
@@ -280,10 +337,21 @@ WalReadResult read_wal(const std::string& path, io::Env* env) {
     }
     // Counted only once the frame is fully accepted (an offer frame with a
     // bad length is torn tail, not a frame of that type).
-    ++out.frame_type_counts[type];
-    pos += 8 + len;
+    ++type_counts[type];
+    in.consume(8 + std::size_t{len});
+    pos += 8 + std::uint64_t{len};
     out.valid_bytes = pos;
   }
+  for (unsigned type = 0; type < type_counts.size(); ++type)
+    if (type_counts[type] > 0) out.frame_type_counts[type] = type_counts[type];
+  return out;
+}
+
+WalReadResult read_wal(const std::string& path, io::Env* env) {
+  WalReadResult out;
+  static_cast<WalFileScan&>(out) = stream_wal(
+      path, [&out](const WalRecord& rec) { out.records.push_back(rec); },
+      env);
   return out;
 }
 

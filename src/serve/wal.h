@@ -35,7 +35,9 @@
 // shard_router.h).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -153,9 +155,17 @@ class WalWriter {
   std::uint64_t synced_bytes_ = 0;
 };
 
-/// Result of scanning a WAL file.
-struct WalReadResult {
-  std::vector<WalRecord> records;  ///< longest intact prefix
+/// Envelope sanity bound: no legitimate record is this large, so a length
+/// beyond it is torn-tail garbage, not a future record type.
+inline constexpr std::uint32_t kMaxFramePayload = 1u << 20;
+/// The frame reader's fixed buffer: exactly one largest legal frame
+/// (u32 len + u32 crc + payload), so any frame is validated in place.
+inline constexpr std::size_t kWalReadBufferBytes = 8 + kMaxFramePayload;
+
+/// What one pass over a WAL file found, apart from the records themselves.
+struct WalFileScan {
+  std::uint64_t record_count = 0;  ///< offer records in the intact prefix
+  std::uint64_t first_record_seq = 0;  ///< seq of the first (if any)
   std::uint64_t valid_bytes = 0;   ///< file offset where the prefix ends
   std::uint64_t base_seq = 0;      ///< from a v2 segment header (0 legacy)
   std::uint64_t unknown_records = 0;  ///< intact frames of unknown type
@@ -167,11 +177,27 @@ struct WalReadResult {
   std::string tail_error;          ///< why the tail was rejected (when torn)
 };
 
-/// Scans `path` (legacy "CDBPWAL1" file or "CDBPWAL2" segment), accepting
-/// the longest intact frame prefix (see file comment). A missing file
-/// yields an empty, non-torn result; a present file with a bad header
-/// yields torn with valid_bytes = 0... the caller decides whether to
-/// truncate (recovery does).
+/// Result of scanning a WAL file with its records collected.
+struct WalReadResult : WalFileScan {
+  std::vector<WalRecord> records;  ///< longest intact prefix
+};
+
+/// Receives each intact offer record in file order. The reference is valid
+/// only for the call: the reader decodes every frame into one record.
+using WalRecordVisitor = std::function<void(const WalRecord&)>;
+
+/// The WAL frame reader. Streams `path` (legacy "CDBPWAL1" file or
+/// "CDBPWAL2" segment) through one kWalReadBufferBytes buffer with
+/// io::File::read — never the whole file at once — and hands each record
+/// of the longest intact frame prefix (see file comment) to `visit`, which
+/// may be empty to only count. A missing file yields an empty, non-torn
+/// result; a present file with a bad header yields torn with
+/// valid_bytes = 0; the caller decides whether to truncate (recovery
+/// does). A read error throws std::runtime_error: it is not a torn tail.
+WalFileScan stream_wal(const std::string& path, const WalRecordVisitor& visit,
+                       io::Env* env = nullptr);
+
+/// stream_wal collecting every record.
 [[nodiscard]] WalReadResult read_wal(const std::string& path,
                                      io::Env* env = nullptr);
 

@@ -65,6 +65,32 @@ std::uint64_t file_size_or_zero(io::Env& env, const std::string& path) {
   return size < 0 ? 0 : static_cast<std::uint64_t>(size);
 }
 
+/// Orphan sweep: removes `.seg` files for `base` that `listed` does not
+/// name — left by a kill during rotation (file created, manifest not yet
+/// updated) or compaction (manifest updated, unlink not reached) — and a
+/// stale manifest `.tmp`. Returns the bytes removed.
+std::uint64_t sweep_orphans(io::Env& e, const std::string& base,
+                            const std::vector<WalManifest::Entry>& listed) {
+  std::set<std::string> keep;
+  for (const WalManifest::Entry& entry : listed) keep.insert(entry.file);
+  std::uint64_t removed_bytes = 0;
+  const std::string dir = dir_of(base);
+  const std::string prefix = name_of(base) + ".";
+  for (const std::string& file : e.list_dir(dir)) {
+    if (file.rfind(prefix, 0) != 0) continue;
+    const bool is_segment = file.size() > 4 &&
+                            file.compare(file.size() - 4, 4, ".seg") == 0;
+    const bool is_stale_tmp = file == name_of(base) + ".manifest.tmp";
+    if ((is_segment && keep.count(file) == 0) || is_stale_tmp) {
+      const std::string path = dir + "/" + file;
+      removed_bytes += file_size_or_zero(e, path);
+      remove_file_durable(e, path);
+      if (is_segment) g_orphans.add();
+    }
+  }
+  return removed_bytes;
+}
+
 WalFormat format_of_entry(const std::string& base,
                           const WalManifest::Entry& entry) {
   // The only non-".seg" entry a manifest can hold is an adopted legacy
@@ -151,9 +177,15 @@ std::string wal_segment_path(const std::string& base, std::uint64_t id) {
   return base + suffix;
 }
 
-SegmentedWalScan scan_segmented_wal(const std::string& base,
-                                    parallel::ThreadPool* pool,
-                                    io::Env* env) {
+namespace {
+
+/// Scans every segment the manifest lists (in parallel on `pool`) and
+/// assembles the global intact prefix. With `collected` set, each
+/// segment's records land in (*collected)[i]; otherwise they are only
+/// counted.
+SegmentedWalScan scan_chain(const std::string& base,
+                            parallel::ThreadPool* pool, io::Env* env,
+                            std::vector<std::vector<WalRecord>>* collected) {
   SegmentedWalScan out;
   io::Env& e = io::env_or_posix(env);
   std::optional<WalManifest> manifest = read_wal_manifest(base, &e);
@@ -174,13 +206,17 @@ SegmentedWalScan scan_segmented_wal(const std::string& base,
 
   const std::string dir = dir_of(base);
   const std::size_t n = out.manifest.segments.size();
-  const auto scan_one = [&](std::size_t i) {
-    return read_wal(dir + "/" + out.manifest.segments[i].file, &e);
+  if (collected != nullptr) collected->assign(n, {});
+  const auto scan_one = [&](std::size_t i) -> WalFileScan {
+    const std::string path = dir + "/" + out.manifest.segments[i].file;
+    if (collected == nullptr) return stream_wal(path, {}, &e);
+    WalReadResult seg = read_wal(path, &e);
+    (*collected)[i] = std::move(seg.records);
+    return seg;
   };
-  std::vector<WalReadResult> scans;
+  std::vector<WalFileScan> scans;
   if (pool != nullptr && n > 1) {
-    scans = parallel::parallel_map<WalReadResult>(
-        *pool, n, [&](std::size_t i) { return scan_one(i); });
+    scans = parallel::parallel_map<WalFileScan>(*pool, n, scan_one);
   } else {
     scans.reserve(n);
     for (std::size_t i = 0; i < n; ++i) scans.push_back(scan_one(i));
@@ -192,58 +228,96 @@ SegmentedWalScan scan_segmented_wal(const std::string& base,
   // chain-breaking segment; everything after it is unreachable.
   std::uint64_t expected_seq = out.first_seq;
   for (std::size_t i = 0; i < n; ++i) {
-    const WalReadResult& seg = scans[i];
+    const WalFileScan& seg = scans[i];
     const std::uint64_t declared = out.manifest.segments[i].base_seq;
-    const auto tear = [&](const std::string& why, std::uint64_t valid) {
+    const auto tear = [&](const std::string& why, std::uint64_t valid,
+                          std::size_t first_dropped) {
       out.torn = true;
       out.tail_error = why;
       out.torn_segment = i;
       out.torn_valid_bytes = valid;
-      for (std::size_t j = i; j < n; ++j)
-        out.dropped_records += scans[j].records.size();
+      for (std::size_t j = first_dropped; j < n; ++j)
+        out.dropped_records += scans[j].record_count;
     };
     if (!seg.exists) {
-      tear("missing segment file " + out.manifest.segments[i].file, 0);
+      tear("missing segment file " + out.manifest.segments[i].file, 0, i);
       break;
     }
     if (seg.base_seq != declared) {
       tear("segment base seq mismatch in " + out.manifest.segments[i].file,
-           0);
+           0, i);
       break;
     }
     if (declared != expected_seq) {
-      tear("segment chain gap at " + out.manifest.segments[i].file, 0);
+      tear("segment chain gap at " + out.manifest.segments[i].file, 0, i);
       break;
     }
-    if (!seg.records.empty() && seg.records.front().seq != declared) {
+    if (seg.record_count > 0 && seg.first_record_seq != declared) {
       tear("segment first record seq mismatch in " +
                out.manifest.segments[i].file,
-           0);
+           0, i);
       break;
     }
     out.unknown_records += seg.unknown_records;
+    out.record_count += seg.record_count;
+    out.segment_records.push_back(seg.record_count);
+    out.segment_frame_types.push_back(seg.frame_type_counts);
     if (seg.torn) {
       // Keep this segment's intact prefix, drop its tail and every later
       // segment (their seqs would gap past the lost records).
-      out.records.insert(out.records.end(), seg.records.begin(),
-                         seg.records.end());
-      out.segment_records.push_back(seg.records.size());
-      out.segment_frame_types.push_back(seg.frame_type_counts);
-      out.torn = true;
-      out.tail_error = seg.tail_error;
-      out.torn_segment = i;
-      out.torn_valid_bytes = seg.valid_bytes;
-      for (std::size_t j = i + 1; j < n; ++j)
-        out.dropped_records += scans[j].records.size();
+      tear(seg.tail_error, seg.valid_bytes, i + 1);
       break;
     }
-    out.records.insert(out.records.end(), seg.records.begin(),
-                       seg.records.end());
-    out.segment_records.push_back(seg.records.size());
-    out.segment_frame_types.push_back(seg.frame_type_counts);
-    expected_seq = declared + seg.records.size();
+    expected_seq = declared + seg.record_count;
   }
   return out;
+}
+
+}  // namespace
+
+SegmentedWalScan scan_segmented_wal(const std::string& base,
+                                    parallel::ThreadPool* pool,
+                                    io::Env* env) {
+  std::vector<std::vector<WalRecord>> per_segment;
+  SegmentedWalScan out = scan_chain(base, pool, env, &per_segment);
+  out.records.reserve(out.record_count);
+  for (std::size_t i = 0; i < out.segment_records.size(); ++i)
+    out.records.insert(out.records.end(), per_segment[i].begin(),
+                       per_segment[i].end());
+  return out;
+}
+
+SegmentedWalScan validate_segmented_wal(const std::string& base,
+                                        parallel::ThreadPool* pool,
+                                        io::Env* env) {
+  return scan_chain(base, pool, env, nullptr);
+}
+
+void stream_segmented_wal(const std::string& base,
+                          const SegmentedWalScan& scan, std::uint64_t from_seq,
+                          const WalRecordVisitor& visit, io::Env* env) {
+  const std::string dir = dir_of(base);
+  for (std::size_t i = 0; i < scan.segment_records.size(); ++i) {
+    const WalManifest::Entry& entry = scan.manifest.segments[i];
+    const std::uint64_t expected = scan.segment_records[i];
+    if (entry.base_seq + expected <= from_seq) continue;  // all covered
+    // Only the records pass 1 counted are visited, and a segment that has
+    // lost records since refuses the pass instead of replaying a
+    // different log.
+    const std::string path = dir + "/" + entry.file;
+    std::uint64_t seen = 0;
+    stream_wal(
+        path,
+        [&](const WalRecord& rec) {
+          if (seen++ < expected) visit(rec);
+        },
+        env);
+    if (seen < expected)
+      throw std::runtime_error("wal: segment '" + path + "' holds " +
+                               std::to_string(seen) + " records, " +
+                               std::to_string(expected) +
+                               " when it was validated");
+  }
 }
 
 std::uint64_t repair_segmented_wal(const std::string& base,
@@ -286,26 +360,7 @@ std::uint64_t repair_segmented_wal(const std::string& base,
     scan.torn_segment = static_cast<std::size_t>(-1);
   }
 
-  // Orphan sweep: `.seg` files for this base the manifest does not list —
-  // left by a kill during rotation (file created, manifest not yet
-  // updated) or compaction (manifest updated, unlink not reached).
-  std::set<std::string> listed;
-  for (const WalManifest::Entry& entry : scan.manifest.segments)
-    listed.insert(entry.file);
-  const std::string prefix = name_of(base) + ".";
-  for (const std::string& file : e.list_dir(dir)) {
-    if (file.rfind(prefix, 0) != 0) continue;
-    const bool is_segment = file.size() > 4 &&
-                            file.compare(file.size() - 4, 4, ".seg") == 0;
-    const bool is_stale_tmp = file == name_of(base) + ".manifest.tmp";
-    if ((is_segment && listed.count(file) == 0) || is_stale_tmp) {
-      const std::string path = dir + "/" + file;
-      removed_bytes += file_size_or_zero(e, path);
-      remove_file_durable(e, path);
-      if (is_segment) g_orphans.add();
-    }
-  }
-  return removed_bytes;
+  return removed_bytes + sweep_orphans(e, base, scan.manifest.segments);
 }
 
 SegmentedWal::SegmentedWal(std::string base, Options opts, bool truncate,
@@ -315,14 +370,15 @@ SegmentedWal::SegmentedWal(std::string base, Options opts, bool truncate,
       env_(&io::env_or_posix(opts_.env)) {
   if (truncate) {
     // Fresh log: durably clear every trace of the old one first, or a
-    // crash mid-start could pair new segments with stale ones.
-    SegmentedWalScan old = scan_segmented_wal(base_, nullptr, env_);
-    for (const WalManifest::Entry& entry : old.manifest.segments)
-      remove_file_durable(*env_, full_path(entry.file));
-    old.manifest.segments.clear();
-    old.torn = false;
-    old.torn_segment = static_cast<std::size_t>(-1);
-    repair_segmented_wal(base_, old, env_);  // orphan/tmp sweep
+    // crash mid-start could pair new segments with stale ones. Only the
+    // manifest says which files those are; no record needs reading.
+    if (const std::optional<WalManifest> old = read_wal_manifest(base_, env_)) {
+      for (const WalManifest::Entry& entry : old->segments)
+        remove_file_durable(*env_, full_path(entry.file));
+    } else if (env_->exists(base_)) {
+      remove_file_durable(*env_, full_path(name_of(base_)));  // legacy log
+    }
+    sweep_orphans(*env_, base_, {});
     remove_file_durable(*env_, manifest_path(base_));
     manifest_.next_segment_id = 1;
     const std::uint64_t id = manifest_.next_segment_id++;
@@ -335,7 +391,7 @@ SegmentedWal::SegmentedWal(std::string base, Options opts, bool truncate,
 
   SegmentedWalScan own;
   if (scan == nullptr) {
-    own = scan_segmented_wal(base_, nullptr, env_);
+    own = validate_segmented_wal(base_, nullptr, env_);
     repair_segmented_wal(base_, own, env_);
     scan = &own;
   }

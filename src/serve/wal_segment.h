@@ -11,8 +11,8 @@
 // Why segments: (1) checkpoint-anchored *compaction* — segments whose
 // every record is covered by the latest checkpoint are deleted, so the log
 // stops growing without bound; (2) *segment-parallel recovery* — the
-// CRC scan/decode of each segment is independent and fans out over a
-// ThreadPool before the (inherently sequential) replay; (3) bounded
+// CRC validation of each segment is independent and fans out over a
+// ThreadPool before the (inherently sequential) streamed replay; (3) bounded
 // torn-tail repair — a tear truncates one segment, not a giant file.
 //
 // Crash consistency (every step is fsync-ordered, docs/SERVING.md):
@@ -77,7 +77,10 @@ struct SegmentedWalScan {
   bool exists = false;  ///< a manifest or a legacy bare file was present
   bool legacy = false;  ///< no manifest: the bare `base` file was adopted
   WalManifest manifest;            ///< effective (synthesized when legacy)
-  std::vector<WalRecord> records;  ///< global intact prefix, in seq order
+  /// Global intact prefix, in seq order — filled by scan_segmented_wal
+  /// only; validate_segmented_wal leaves it empty and just counts.
+  std::vector<WalRecord> records;
+  std::uint64_t record_count = 0;  ///< records in the global intact prefix
   std::uint64_t first_seq = 0;     ///< base_seq of the first live segment
   bool torn = false;
   std::string tail_error;
@@ -98,10 +101,29 @@ struct SegmentedWalScan {
 };
 
 /// CRC-scans every segment (in parallel on `pool` when given and there is
-/// more than one) and assembles the global intact prefix. Read-only.
+/// more than one) and assembles the global intact prefix, collecting its
+/// records. Read-only.
 [[nodiscard]] SegmentedWalScan scan_segmented_wal(
     const std::string& base, parallel::ThreadPool* pool = nullptr,
     io::Env* env = nullptr);
+
+/// Recovery pass 1: the same scan — every frame CRC-checked, every field
+/// filled — except that records are counted, not kept (`records` stays
+/// empty), so its memory does not grow with the log. Read-only.
+[[nodiscard]] SegmentedWalScan validate_segmented_wal(
+    const std::string& base, parallel::ThreadPool* pool = nullptr,
+    io::Env* env = nullptr);
+
+/// Recovery pass 2: streams the intact prefix that `scan` (from
+/// validate_segmented_wal, possibly repaired since) describes through
+/// `visit`, in seq order, one segment at a time, re-checking every CRC.
+/// Segments whose records all precede `from_seq` are not read. Throws
+/// std::runtime_error if a segment no longer holds the records `scan`
+/// counted in it.
+void stream_segmented_wal(const std::string& base,
+                          const SegmentedWalScan& scan, std::uint64_t from_seq,
+                          const WalRecordVisitor& visit,
+                          io::Env* env = nullptr);
 
 /// Applies the repair a scan prescribed: truncates the torn segment,
 /// deletes segments past the tear and any orphan `.seg` files the manifest
@@ -131,11 +153,13 @@ class SegmentedWal final : public WalSyncable {
     io::Env* env = nullptr;
   };
 
-  /// truncate=true starts a fresh log: every existing segment, manifest,
-  /// and bare legacy file for `base` is removed and segment 1 is created.
+  /// truncate=true starts a fresh log: every segment the old manifest
+  /// lists (or the bare legacy file), orphan `.seg` files, and the
+  /// manifest for `base` are removed — reading only the manifest, never a
+  /// record — and segment 1 is created.
   /// truncate=false resumes: `scan` should be the (repaired) scan the
-  /// caller replayed from — pass nullptr to let the writer scan + repair
-  /// itself. A bare legacy log is adopted (manifest written, appends
+  /// caller replayed from — pass nullptr to let the writer validate +
+  /// repair itself. A bare legacy log is adopted (manifest written, appends
   /// continue into the legacy file until rotation).
   SegmentedWal(std::string base, Options opts, bool truncate,
                const SegmentedWalScan* scan = nullptr);

@@ -27,6 +27,51 @@ TEST(Crc32, MatchesIeeeCheckValue) {
   EXPECT_EQ(crc32(s.data() + 4, 5, part), 0xCBF43926u);
 }
 
+/// Bit-at-a-time CRC-32 straight from the polynomial: the oracle the
+/// table-driven implementation must match bit for bit.
+std::uint32_t crc32_bitwise(const unsigned char* p, std::size_t n,
+                            std::uint32_t seed) {
+  std::uint32_t c = ~seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+  }
+  return ~c;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  std::mt19937_64 rng(2024);
+  std::vector<unsigned char> buf(4096 + 16);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng());
+  // Every length through a few 8-byte blocks, at every alignment.
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t len = 0; len <= 80; ++len)
+      ASSERT_EQ(crc32(buf.data() + offset, len),
+                crc32_bitwise(buf.data() + offset, len, 0))
+          << "offset " << offset << " len " << len;
+  // Random lengths, offsets, and seeds.
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::size_t offset = rng() % 16;
+    const std::size_t len = rng() % 4096;
+    const auto seed = static_cast<std::uint32_t>(rng());
+    ASSERT_EQ(crc32(buf.data() + offset, len, seed),
+              crc32_bitwise(buf.data() + offset, len, seed))
+        << "offset " << offset << " len " << len;
+  }
+}
+
+TEST(Crc32, ChainingEqualsOnePassAtEverySplit) {
+  std::mt19937_64 rng(7);
+  std::vector<unsigned char> buf(203);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng());
+  const std::uint32_t whole = crc32(buf.data(), buf.size());
+  for (std::size_t split = 0; split <= buf.size(); ++split)
+    ASSERT_EQ(crc32(buf.data() + split, buf.size() - split,
+                    crc32(buf.data(), split)),
+              whole)
+        << "split " << split;
+}
+
 TEST(StateCodec, RoundTripsEveryFieldType) {
   StateWriter w;
   w.u8(0xAB);

@@ -332,6 +332,40 @@ TEST_F(WalSegmentTest, ParallelScanMatchesSequential) {
   expect_same_records(par.records, seq.records, "parallel vs sequential");
 }
 
+// The two recovery passes: validation counts without collecting, and the
+// streamed pass visits exactly what was counted — from a starting seq,
+// skipping wholly covered segments — or refuses a segment that has lost
+// records since it was validated.
+TEST_F(WalSegmentTest, ValidateCountsAndStreamVisitsWhatWasCounted) {
+  const std::string b = base("two.wal");
+  const std::vector<WalRecord> records = sample_records(19, 14);
+  {
+    SegmentedWal wal(b, tiny_segments(), /*truncate=*/true);
+    for (const WalRecord& rec : records) wal.append(rec);
+    wal.close();
+  }
+  const SegmentedWalScan scan = validate_segmented_wal(b);
+  EXPECT_TRUE(scan.records.empty());
+  EXPECT_EQ(scan.record_count, records.size());
+  ASSERT_GE(scan.manifest.segments.size(), 4u);
+
+  std::vector<WalRecord> seen;
+  const auto collect = [&](const WalRecord& rec) { seen.push_back(rec); };
+  stream_segmented_wal(b, scan, 0, collect);
+  expect_same_records(seen, records, "streamed");
+
+  const std::uint64_t from = scan.manifest.segments[2].base_seq;
+  seen.clear();
+  stream_segmented_wal(b, scan, from, collect);
+  ASSERT_FALSE(seen.empty());
+  EXPECT_EQ(seen.front().seq, from);
+  EXPECT_EQ(seen.back(), records.back());
+
+  const fs::path victim = dir_ / scan.manifest.segments[1].file;
+  fs::resize_file(victim, fs::file_size(victim) - kFrameBytes);
+  EXPECT_THROW(stream_segmented_wal(b, scan, 0, collect), std::runtime_error);
+}
+
 TEST_F(WalSegmentTest, MissingSegmentFileEndsThePrefix) {
   const std::string b = base("miss.wal");
   const std::vector<WalRecord> records = sample_records(19, 13);

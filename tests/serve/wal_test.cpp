@@ -343,6 +343,120 @@ TEST_F(WalTest, CorruptSegmentHeaderIsTornAtZero) {
   EXPECT_NE(r.tail_error.find("header"), std::string::npos);
 }
 
+/// An envelope-valid frame of `type` whose payload is `payload_len` bytes.
+std::string raw_frame(std::uint8_t type, std::size_t payload_len) {
+  std::string payload(payload_len, '\x5A');
+  payload[0] = static_cast<char>(type);
+  StateWriter head;
+  head.u32(static_cast<std::uint32_t>(payload.size()));
+  head.u32(crc32(payload.data(), payload.size()));
+  return head.buffer() + payload;
+}
+
+void append_bytes(const std::string& file, const std::string& bytes) {
+  std::ofstream f(file, std::ios::binary | std::ios::app);
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// The reader sees a file through one kWalReadBufferBytes window. A filler
+// frame parks the next offer frame so that it starts `before_edge` bytes
+// short of the first window's end — inside its 8-byte envelope header for
+// small values, inside its payload for larger ones — and the frame must
+// still decode from the refilled window.
+TEST_F(WalTest, FrameStraddlingTheReadBufferEdgeDecodes) {
+  const std::vector<WalRecord> records = sample_records(4, 17);
+  for (const std::size_t before_edge : {1u, 4u, 7u, 8u, 9u, 30u, 56u}) {
+    const std::string file = path("edge.wal");
+    {
+      WalWriter w(file, FsyncPolicy::kNone, 1, /*truncate=*/true);
+      w.close();
+    }
+    // 8-byte legacy header + filler frame end exactly at edge - before_edge.
+    append_bytes(file, raw_frame(9, kWalReadBufferBytes - before_edge - 16));
+    {
+      WalWriter w(file, FsyncPolicy::kNone, 1, /*truncate=*/false);
+      for (const WalRecord& rec : records) w.append(rec);
+      w.close();
+    }
+    const WalReadResult r = read_wal(file);
+    EXPECT_FALSE(r.torn) << r.tail_error << " at " << before_edge;
+    EXPECT_EQ(r.unknown_records, 1u);
+    ASSERT_EQ(r.records.size(), records.size()) << "at " << before_edge;
+    for (std::size_t i = 0; i < records.size(); ++i)
+      EXPECT_EQ(r.records[i], records[i]) << "at " << before_edge;
+    EXPECT_EQ(r.valid_bytes, fs::file_size(file));
+  }
+}
+
+// The largest legal frame fits the window even when it starts mid-window;
+// one byte more is a bad length, i.e. torn tail.
+TEST_F(WalTest, MaxPayloadFrameIsReadAndOneMoreByteIsTorn) {
+  const std::string file = path("max.wal");
+  const std::vector<WalRecord> records = sample_records(5, 19);
+  {
+    WalWriter w(file, FsyncPolicy::kNone, 1, /*truncate=*/true);
+    for (std::size_t i = 0; i < 3; ++i) w.append(records[i]);
+    w.close();
+  }
+  append_bytes(file, raw_frame(9, kMaxFramePayload));
+  {
+    WalWriter w(file, FsyncPolicy::kNone, 1, /*truncate=*/false);
+    for (std::size_t i = 3; i < 5; ++i) w.append(records[i]);
+    w.close();
+  }
+  const WalReadResult r = read_wal(file);
+  EXPECT_FALSE(r.torn) << r.tail_error;
+  EXPECT_EQ(r.unknown_records, 1u);
+  EXPECT_EQ(r.frame_type_counts.at(9), 1u);
+  ASSERT_EQ(r.records.size(), 5u);
+  for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(r.records[i], records[i]);
+
+  const std::uint64_t intact = r.valid_bytes;
+  append_bytes(file, raw_frame(9, kMaxFramePayload + 1));
+  const WalReadResult over = read_wal(file);
+  EXPECT_TRUE(over.torn);
+  EXPECT_EQ(over.tail_error, "bad frame length");
+  EXPECT_EQ(over.valid_bytes, intact);
+  EXPECT_EQ(over.records.size(), 5u);
+}
+
+TEST_F(WalTest, StreamVisitsWhatReadCollects) {
+  const std::string file = path("visit.wal");
+  std::vector<WalRecord> records = sample_records(9, 23);
+  records[2].tenant = "alice";
+  records[7].tenant = "bob";
+  write_records(file, records);
+  std::vector<WalRecord> visited;
+  const WalFileScan s = stream_wal(
+      file, [&](const WalRecord& rec) { visited.push_back(rec); });
+  const WalReadResult r = read_wal(file);
+  EXPECT_EQ(visited, r.records);
+  EXPECT_EQ(s.record_count, records.size());
+  EXPECT_EQ(s.first_record_seq, records.front().seq);
+  EXPECT_EQ(s.valid_bytes, r.valid_bytes);
+  // A count-only pass needs no visitor.
+  EXPECT_EQ(stream_wal(file, {}).record_count, records.size());
+}
+
+// A read error is not a torn tail: the reader must throw rather than
+// report a shorter intact prefix that recovery would truncate to.
+TEST_F(WalTest, ReadErrorThrowsAndEintrStormIsAbsorbed) {
+  const std::string file = path("faulty.wal");
+  const std::vector<WalRecord> records = sample_records(6, 29);
+  write_records(file, records);
+  {
+    io::FaultInjectingEnv env;
+    env.add_rule({io::kOpRead, "faulty.wal", 0, io::FaultKind::kEio, 0});
+    EXPECT_THROW((void)read_wal(file, &env), std::runtime_error);
+  }
+  io::FaultInjectingEnv env;
+  env.add_rule({io::kOpRead, "faulty.wal", 0, io::FaultKind::kEintr, 24});
+  const WalReadResult r = read_wal(file, &env);
+  EXPECT_EQ(env.faults_injected(), 24u);
+  EXPECT_FALSE(r.torn);
+  EXPECT_EQ(r.records, records);
+}
+
 TEST_F(WalTest, AppendAfterCloseThrows) {
   const std::string file = path("closed.wal");
   WalWriter w(file, FsyncPolicy::kNone, 1, /*truncate=*/true);
