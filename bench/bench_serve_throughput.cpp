@@ -14,10 +14,11 @@
 // per shard, 256 offers deep per connection, the throughput-comparison
 // configuration (single TCP stream per shard keeps the packing
 // deterministic) — and one "soak" cell with thousands of tenant
-// connections in ordered mode. Self-checks: no offer the client holds a
-// kApplied ack for may be missing from the router's final placement log,
-// and (full runs) pipelined loopback throughput at the top shard count
-// must land within 2x of the file-fed submit loop.
+// connections in ordered mode. Self-checks: every offer the client holds
+// a kApplied ack for must be a (tenant, stream_index) record in its
+// shard's WAL (ack implies durable), and (full runs) pipelined loopback
+// throughput at the top shard count must land within 2x of the file-fed
+// submit loop.
 //
 // Flags: --quick (smaller stream), --seeds N (repetitions per cell),
 // --csv PATH (per-cell rows), --json PATH (BENCH_SERVE.json for CI).
@@ -31,13 +32,13 @@
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "algos/any_fit.h"
 #include "bench_common.h"
 #include "net/client.h"
 #include "net/listener.h"
+#include "net/net_chaos.h"
 #include "obs/snapshot.h"
 #include "report/table.h"
 #include "serve/request_stream.h"
@@ -98,8 +99,7 @@ double run_cell(const std::vector<serve::ServeRequest>& stream,
     merged = obs::merge(merged, router.stats(i).ack_latency);
   }
   *lat_out = merged;
-  if (applied != stream.size() ||
-      router.results().size() != stream.size())
+  if (applied != stream.size())
     throw std::runtime_error("offer count mismatch: submitted " +
                              std::to_string(stream.size()) + ", placed " +
                              std::to_string(applied));
@@ -262,15 +262,11 @@ NetCell run_net_cell(const std::vector<serve::ServeRequest>& stream,
         " errored=" + std::to_string(rep.errored) +
         " lost=" + std::to_string(rep.lost) +
         " conns_failed=" + std::to_string(rep.conns_failed));
-  // No acked-offer loss: every stream index the client holds a kApplied
-  // ack for must be in the router's final placement log.
-  std::unordered_set<std::uint64_t> placed;
-  for (const serve::ServeResult& r : router.results())
-    placed.insert(r.stream_index);
-  for (const std::uint64_t id : rep.applied_ids)
-    if (placed.find(id) == placed.end())
-      throw std::runtime_error("acked offer " + std::to_string(id) +
-                               " missing from the placement log");
+  // Ack implies durable: every offer the client holds a kApplied ack for
+  // must be logged in its tenant's shard WAL.
+  const std::string loss =
+      net::check_acks_in_wal(dir.string(), shards, stream, rep.applied_ids);
+  if (!loss.empty()) throw std::runtime_error(loss);
   NetCell cell;
   cell.mode = std::move(mode);
   cell.shards = shards;

@@ -31,8 +31,11 @@ AdversaryOutcome run_lower_bound_adversary(const AdversaryConfig& config,
     bool released_any = false;
     for (const Release& rel : ladder) {
       if (session.open_bins() >= target) break;
-      session.offer(static_cast<Time>(t), static_cast<Time>(t) + rel.length,
-                    rel.load);
+      const auto arrival = static_cast<Time>(t);
+      session.offer(arrival, arrival + rel.length, rel.load);
+      // The session keeps no history; sigma is recorded here, in offer
+      // order (which is arrival order, so finalize keeps the ids).
+      out.instance.add(arrival, arrival + rel.length, rel.load);
       ++out.items;
       released_any = true;
     }
@@ -40,7 +43,7 @@ AdversaryOutcome run_lower_bound_adversary(const AdversaryConfig& config,
     if (session.open_bins() >= target) ++out.bursts_reaching_target;
   }
   out.online_cost = session.finish();
-  out.instance = session.to_instance();
+  out.instance.finalize();
   return out;
 }
 

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <ostream>
 #include <random>
@@ -234,6 +235,7 @@ void print_usage(std::ostream& out) {
       << "            [--queue-capacity N] [--throttle-us U] [--resume]\n"
       << "            [--wal-segment-bytes B] [--group-commit-window U]\n"
       << "            [--out FILE] [--metrics-out FILE]\n"
+      << "            (--out: applied placements as CSV; file-fed only)\n"
       << "            [--trace-out FILE] [--trace-format chrome|jsonl]\n"
       << "            [--stats-out BASE] [--stats-interval MS]\n"
       << "            (stats: periodic BASE.prom + BASE.json pages;\n"
@@ -244,7 +246,8 @@ void print_usage(std::ostream& out) {
       << "            an ephemeral port, printed as 'listening on ...')\n"
       << "            [--loops N] [--quota-rate R] [--quota-burst B]\n"
       << "            [--max-offers N] [--drain-ms MS] [--force-poll]\n"
-      << "            + all file-fed flags except --in\n"
+      << "            + all file-fed flags except --in and --out\n"
+      << "            (each client gets its placements in its ACKs)\n"
       << "  client    --connect HOST:PORT [--in STREAM | --items N\n"
       << "            --tenants T --seed S --mu-log2 M]\n"
       << "            [--shard-window W] [--pipeline K] [--connect-batch C]\n"
@@ -781,12 +784,21 @@ void print_serve_summary(const serve::ShardRouter& router, bool resume,
       << "total cost=" << num_exact(router.total_cost()) << "\n";
 }
 
-void write_placements(const serve::ShardRouter& router,
+/// Writes the placements `--out` collected from kApplied acks, ordered by
+/// (stream_index, shard, seq).
+void write_placements(std::vector<serve::ServeResult> placements,
                       const std::string& path, std::ostream& out) {
+  std::sort(placements.begin(), placements.end(),
+            [](const serve::ServeResult& a, const serve::ServeResult& b) {
+              if (a.stream_index != b.stream_index)
+                return a.stream_index < b.stream_index;
+              if (a.shard != b.shard) return a.shard < b.shard;
+              return a.seq < b.seq;
+            });
   std::ofstream f(path);
   if (!f) throw std::runtime_error("cannot open placements file: " + path);
   f << "stream_index,tenant,shard,seq,bin\n";
-  for (const serve::ServeResult& r : router.results())
+  for (const serve::ServeResult& r : placements)
     f << r.stream_index << ',' << r.tenant << ',' << r.shard << ',' << r.seq
       << ',' << r.bin << "\n";
   out << "placements written to " << path << "\n";
@@ -841,6 +853,10 @@ int cmd_serve(Flags& flags, std::ostream& out, std::ostream& err) {
       to_int(flags.get("drain-ms").value_or("5000"), "--drain-ms"));
   const bool force_poll = flags.get("force-poll").has_value();
   flags.finish();
+  if (listen && out_path)
+    throw std::invalid_argument(
+        "serve: --out is file-fed only (networked clients get every "
+        "placement in their ACK)");
   if (metrics_out) require_obs("--metrics-out");
   if (trace_out) require_obs("--trace-out");
   if (stats_out) require_obs("--stats-out");
@@ -870,6 +886,9 @@ int cmd_serve(Flags& flags, std::ostream& out, std::ostream& err) {
   (void)trace_format;
   (void)stats_interval;
 #endif
+  // Declared before the router so they outlive its workers' callbacks.
+  std::mutex placements_mu;  // acks arrive on every shard's worker
+  std::vector<serve::ServeResult> placements;
   serve::ShardRouter router(
       rc, [&] { return make_algorithm(algo_name, mu_hint); }, algo_name);
   std::uint64_t submitted = 0;
@@ -920,6 +939,14 @@ int cmd_serve(Flags& flags, std::ostream& out, std::ostream& err) {
   } else {
     const std::vector<serve::ServeRequest> stream =
         serve::read_stream_csv(in_path);
+    // The router keeps no placements; --out gathers them from the acks.
+    if (out_path)
+      router.set_on_ack(
+          [&](const serve::ServeResult& r, serve::AckKind kind) {
+            if (kind != serve::AckKind::kApplied) return;
+            const std::lock_guard<std::mutex> lock(placements_mu);
+            placements.push_back(r);
+          });
     install_shutdown_handlers();
     for (const serve::ServeRequest& req : stream) {
       if (g_shutdown != 0) break;
@@ -942,7 +969,7 @@ int cmd_serve(Flags& flags, std::ostream& out, std::ostream& err) {
 
   print_serve_summary(router, rc.resume, submitted, rejected, out, err);
 
-  if (out_path) write_placements(router, *out_path, out);
+  if (out_path) write_placements(std::move(placements), *out_path, out);
   if (metrics_out) {
     write_metrics_file(*metrics_out);
     out << "metrics written to " << *metrics_out << "\n";

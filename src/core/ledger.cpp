@@ -376,39 +376,38 @@ void Ledger::active_item_ids_into(std::vector<ItemId>& out) const {
 }
 
 void Ledger::save_state(StateWriter& w) const {
-  if (!track_items_)
-    throw std::logic_error(
-        "Ledger::save_state: item tracking is disabled (track_items=false)");
-  // Both backends serialize through the same logical-record loop, so the
-  // buffers are byte-identical regardless of the in-memory layout.
-  const std::vector<BinRecord>& recs = records();
-  const auto pool_of_bin = [&](std::size_t i) {
-    return storage_ == LedgerStorage::kSoa ? soa_pool_[i] : index_ref_[i].pool;
-  };
-  const auto slot_of_bin = [&](std::size_t i) {
-    return storage_ == LedgerStorage::kSoa
-               ? static_cast<std::uint64_t>(soa_slot_[i])
-               : static_cast<std::uint64_t>(index_ref_[i].slot);
-  };
-  w.u64(recs.size());
-  for (std::size_t i = 0; i < recs.size(); ++i) {
-    const BinRecord& rec = recs[i];
-    w.i64(rec.group);
-    w.f64(rec.opened);
-    w.f64(rec.closed);
-    w.f64(rec.load);
-    w.u64(rec.active_items);
-    w.u64(rec.all_items.size());
-    for (ItemId item : rec.all_items) w.i64(item);
-    w.i64(pool_of_bin(i));
-    w.u64(slot_of_bin(i));
+  // Per-bin fields straight from whichever layout is live — no BinRecord
+  // view is built — and no per-item history, so both backends write the
+  // same bytes and a checkpoint is O(bins + active items).
+  const bool soa = storage_ == LedgerStorage::kSoa;
+  const std::size_t n_bins = bins_opened();
+  w.u64(n_bins);
+  for (std::size_t i = 0; i < n_bins; ++i) {
+    if (soa) {
+      w.i64(soa_group_[i]);
+      w.f64(soa_opened_[i]);
+      w.f64(soa_closed_[i]);
+      w.f64(soa_load_[i]);
+      w.u64(soa_active_count_[i]);
+      w.i64(soa_pool_[i]);
+      w.u64(soa_slot_[i]);
+    } else {
+      const BinRecord& rec = bins_[i];
+      w.i64(rec.group);
+      w.f64(rec.opened);
+      w.f64(rec.closed);
+      w.f64(rec.load);
+      w.u64(rec.active_items);
+      w.i64(index_ref_[i].pool);
+      w.u64(index_ref_[i].slot);
+    }
   }
   const std::vector<ItemId> active = active_item_ids();
   w.u64(active.size());
   for (ItemId id : active) {
     BinId bin;
     Load size;
-    if (storage_ == LedgerStorage::kSoa) {
+    if (soa) {
       const FlatItemMap::Slot* slot = soa_active_.find(id);
       bin = slot->bin;
       size = slot->size;
@@ -429,9 +428,6 @@ void Ledger::save_state(StateWriter& w) const {
 void Ledger::load_state(StateReader& r) {
   if (bins_opened() != 0 || active_items() != 0 || clock_ != -kInfTime)
     throw std::logic_error("Ledger::load_state: ledger is not fresh");
-  if (!track_items_)
-    throw std::logic_error(
-        "Ledger::load_state: item tracking is disabled (track_items=false)");
   const bool soa = storage_ == LedgerStorage::kSoa;
   const std::uint64_t n_bins = r.u64();
   if (soa) {
@@ -448,60 +444,49 @@ void Ledger::load_state(StateReader& r) {
     index_ref_.reserve(n_bins);
   }
   for (std::uint64_t i = 0; i < n_bins; ++i) {
-    BinRecord rec;
-    rec.id = static_cast<BinId>(i);
-    rec.group = r.i64();
-    rec.opened = r.f64();
-    rec.closed = r.f64();
-    rec.load = r.f64();
-    rec.active_items = r.u64();
-    const std::uint64_t n_items = r.u64();
-    rec.all_items.reserve(n_items);
-    for (std::uint64_t k = 0; k < n_items; ++k)
-      rec.all_items.push_back(r.i64());
+    const auto id = static_cast<BinId>(i);
+    const BinGroup group = r.i64();
+    const Time opened = r.f64();
+    const Time closed = r.f64();
+    const Load load = r.f64();
+    const std::uint64_t active_count = r.u64();
     const PoolId pool = r.i64();
     const std::uint64_t slot = r.u64();
     // Bins are replayed in id order, which within a pool is opening order,
     // so the capacity index hands out the same slots it originally did and
     // ends up value-identical (same leaves, same (load, bin) set, same
     // tournament shape) to the uninterrupted index.
-    std::size_t got;
+    const std::uint32_t pidx = soa ? soa_pool_index(pool) : 0;
+    BinCapacityIndex& index = soa ? soa_pools_[pidx] : pools_[pool];
+    const std::size_t got = index.add_bin(id);
+    if (got != slot)
+      throw std::runtime_error("Ledger::load_state: slot mismatch");
+    if (closed == kInfTime) {
+      open_.insert(id);
+      index.set_load(got, load);
+    } else {
+      index.close(got);
+    }
     if (soa) {
-      const std::uint32_t pidx = soa_pool_index(pool);
-      got = soa_pools_[pidx].add_bin(rec.id);
-      if (got != slot)
-        throw std::runtime_error("Ledger::load_state: slot mismatch");
-      if (rec.is_open()) {
-        open_.insert(rec.id);
-        soa_pools_[pidx].set_load(got, rec.load);
-      } else {
-        soa_pools_[pidx].close(got);
-      }
-      soa_group_.push_back(rec.group);
-      soa_opened_.push_back(rec.opened);
-      soa_closed_.push_back(rec.closed);
-      soa_load_.push_back(rec.load);
-      soa_active_count_.push_back(
-          static_cast<std::uint32_t>(rec.active_items));
+      soa_group_.push_back(group);
+      soa_opened_.push_back(opened);
+      soa_closed_.push_back(closed);
+      soa_load_.push_back(load);
+      soa_active_count_.push_back(static_cast<std::uint32_t>(active_count));
       soa_pool_.push_back(pool);
       soa_pool_idx_.push_back(pidx);
       soa_slot_.push_back(static_cast<std::uint32_t>(got));
-      // Bin-major replay of the placement log preserves each bin's item
-      // order, which is all save_state's partition observes.
-      for (ItemId item : rec.all_items) soa_placements_.emplace_back(item, rec.id);
       ++soa_version_;
     } else {
-      got = pools_[pool].add_bin(rec.id);
-      if (got != slot)
-        throw std::runtime_error("Ledger::load_state: slot mismatch");
-      if (rec.is_open()) {
-        open_.insert(rec.id);
-        pools_[pool].set_load(got, rec.load);
-      } else {
-        pools_[pool].close(got);
-      }
-      index_ref_.push_back(IndexRef{pool, got});
+      BinRecord rec;
+      rec.id = id;
+      rec.group = group;
+      rec.opened = opened;
+      rec.closed = closed;
+      rec.load = load;
+      rec.active_items = active_count;
       bins_.push_back(std::move(rec));
+      index_ref_.push_back(IndexRef{pool, got});
     }
   }
   const std::uint64_t n_active = r.u64();

@@ -76,8 +76,8 @@ class Ledger {
   Ledger() = default;
 
   /// `track_items = false` drops the per-item placement log (all_items in
-  /// records() stays empty and save_state refuses): throughput mode for
-  /// multi-million-item runs that only need costs.
+  /// records() stays empty): throughput mode for multi-million-item runs
+  /// and long-lived sessions that only need costs and live state.
   explicit Ledger(LedgerStorage storage, bool track_items = true)
       : storage_(storage), track_items_(track_items) {}
 
@@ -187,13 +187,17 @@ class Ledger {
   /// allocation once the buffer has warmed up.
   void active_item_ids_into(std::vector<ItemId>& out) const;
 
-  /// Serializes the complete ledger state (bit-exact loads and usage
-  /// accumulators). Both storage backends write byte-identical buffers, and
-  /// either backend can restore a buffer the other wrote. `load_state`
-  /// restores into a *fresh* ledger (throws std::logic_error otherwise),
-  /// rebuilding the per-pool capacity indexes so that every subsequent
-  /// first/best/worst-fit query answers exactly as it would have on the
-  /// uninterrupted ledger. Requires item tracking (throws otherwise).
+  /// Serializes the ledger's decision state: the per-bin fields (group,
+  /// open/close times, bit-exact load, active count, pool, index slot), the
+  /// active placements, and the usage accumulators. The per-item placement
+  /// log is NOT included, so a checkpoint is O(bins + active items) and
+  /// works with or without item tracking; a restored ledger's all_items
+  /// lists start empty. Both storage backends write byte-identical
+  /// buffers, and either backend can restore a buffer the other wrote.
+  /// `load_state` restores into a *fresh* ledger (throws std::logic_error
+  /// otherwise), rebuilding the per-pool capacity indexes so that every
+  /// subsequent first/best/worst-fit query answers exactly as it would
+  /// have on the uninterrupted ledger.
   void save_state(StateWriter& w) const;
   void load_state(StateReader& r);
 
@@ -260,7 +264,7 @@ class Ledger {
   /// a stable partition of it (see soa_materialize). Empty when
   /// track_items_ is false.
   std::vector<std::pair<ItemId, BinId>> soa_placements_;
-  // Lazily materialized BinRecord view for record()/records()/save_state.
+  // Lazily materialized BinRecord view for record()/records() (reporting).
   mutable std::vector<BinRecord> soa_records_;
   mutable std::uint64_t soa_records_version_ = ~std::uint64_t{0};
   std::uint64_t soa_version_ = 0;

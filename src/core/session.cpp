@@ -1,18 +1,20 @@
 #include "core/session.h"
 
+#include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 namespace cdbp {
 
 void InteractiveSession::drain_until(Time t_inclusive) {
-  while (!dq_.empty() && dq_.top().time <= t_inclusive) {
-    const Departure d = dq_.top();
-    dq_.pop();
-    clock_ = std::max(clock_, d.time);
-    const BinId bin = ledger_.remove(d.item, d.time);
+  while (!dq_.empty() && dq_.front().item.departure <= t_inclusive) {
+    std::pop_heap(dq_.begin(), dq_.end(), std::greater<>{});
+    const Item item = dq_.back().item;
+    dq_.pop_back();
+    clock_ = std::max(clock_, item.departure);
+    const BinId bin = ledger_.remove(item.id, item.departure);
     const bool closed = !ledger_.is_open(bin);
-    algo_->on_departure(offered_[static_cast<std::size_t>(d.item)], bin,
-                        closed, ledger_);
+    algo_->on_departure(item, bin, closed, ledger_);
   }
 }
 
@@ -26,22 +28,24 @@ BinId InteractiveSession::offer(Time arrival, Time departure, Load size) {
         "(out-of-order offer)");
   if (!(departure > arrival))
     throw std::invalid_argument("InteractiveSession: departure <= arrival");
+  // An oversized item would reach the algorithm (HA bumps its type load
+  // and opens a bin) before the ledger refuses it; a negative one would
+  // silently overfill a bin.
+  if (!valid_item_size(size))
+    throw std::invalid_argument(
+        "InteractiveSession: size must be finite, >= 0 and fit an empty "
+        "bin");
   drain_until(arrival);
   clock_ = arrival;
 
-  Item item;
-  item.id = static_cast<ItemId>(offered_.size());
-  item.arrival = arrival;
-  item.departure = departure;
-  item.size = size;
-  offered_.push_back(item);
-
+  const Item item{next_id_++, arrival, departure, size};
   const BinId bin = algo_->on_arrival(item, ledger_);
   if (ledger_.bin_of(item.id) != bin)
     throw std::logic_error(
         "InteractiveSession: algorithm did not place the item in the bin it "
         "returned");
-  dq_.push(Departure{departure, item.id});
+  dq_.push_back(Departure{item});
+  std::push_heap(dq_.begin(), dq_.end(), std::greater<>{});
   return bin;
 }
 
@@ -54,18 +58,23 @@ void InteractiveSession::advance_to(Time t) {
 
 Cost InteractiveSession::finish() {
   drain_until(kInfTime);
-  if (!offered_.empty()) clock_ = std::max(clock_, ledger_.clock());
+  if (next_id_ != 0) clock_ = std::max(clock_, ledger_.clock());
   return ledger_.total_usage(clock_);
 }
 
-Instance InteractiveSession::to_instance() const {
-  return Instance{offered_};
-}
-
 void InteractiveSession::save_state(StateWriter& w) const {
+  // Ascending id, so the bytes do not depend on the heap's layout (a
+  // restored heap is built in a different push order).
+  std::vector<Item> active;
+  active.reserve(dq_.size());
+  for (const Departure& d : dq_) active.push_back(d.item);
+  std::sort(active.begin(), active.end(),
+            [](const Item& a, const Item& b) { return a.id < b.id; });
   w.f64(clock_);
-  w.u64(offered_.size());
-  for (const Item& item : offered_) {
+  w.i64(next_id_);
+  w.u64(active.size());
+  for (const Item& item : active) {
+    w.i64(item.id);
     w.f64(item.arrival);
     w.f64(item.departure);
     w.f64(item.size);
@@ -74,26 +83,30 @@ void InteractiveSession::save_state(StateWriter& w) const {
 }
 
 void InteractiveSession::load_state(StateReader& r) {
-  if (!offered_.empty() || !dq_.empty())
+  if (next_id_ != 0 || !dq_.empty())
     throw std::logic_error("InteractiveSession::load_state: session not fresh");
   clock_ = r.f64();
+  next_id_ = r.i64();
   const std::uint64_t n = r.u64();
-  offered_.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     Item item;
-    item.id = static_cast<ItemId>(i);
+    item.id = r.i64();
     item.arrival = r.f64();
     item.departure = r.f64();
     item.size = r.f64();
-    offered_.push_back(item);
+    dq_.push_back(Departure{item});
+    std::push_heap(dq_.begin(), dq_.end(), std::greater<>{});
   }
   ledger_.load_state(r);
-  // The departure queue is exactly the still-active items: drain_until
-  // pops every departure <= clock_ before an offer completes, so each
-  // pending departure belongs to an active placement and vice versa.
-  ledger_.active_item_ids_into(active_scratch_);
-  for (ItemId id : active_scratch_)
-    dq_.push(Departure{offered_[static_cast<std::size_t>(id)].departure, id});
+  // The heap is exactly the ledger's active placements: drain_until pops
+  // every departure <= clock_ before an offer completes.
+  if (ledger_.active_items() != dq_.size())
+    throw std::runtime_error(
+        "checkpoint: session items disagree with the ledger");
+  for (const Departure& d : dq_)
+    if (ledger_.bin_of(d.item.id) == kNoBin)
+      throw std::runtime_error(
+          "checkpoint: session items disagree with the ledger");
 }
 
 }  // namespace cdbp

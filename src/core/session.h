@@ -4,27 +4,32 @@
 // of sigma*_t and stop as soon as ON opens sqrt(log mu) bins").
 #pragma once
 
-#include <queue>
 #include <vector>
 
 #include "core/algorithm.h"
-#include "core/instance.h"
+#include "core/item.h"
 #include "core/ledger.h"
 
 namespace cdbp {
 
 class InteractiveSession {
  public:
-  explicit InteractiveSession(Algorithm& algo) : algo_(&algo) {
+  /// The session keeps only live state: the SoA ledger without its
+  /// per-item placement log, plus the active items in the departure heap.
+  /// Memory is O(bins + active items), not O(items offered).
+  explicit InteractiveSession(Algorithm& algo)
+      : algo_(&algo), ledger_(LedgerStorage::kSoa, /*track_items=*/false) {
     algo_->reset();
   }
 
   /// Feeds one item (arrival must be >= every previously fed arrival).
   /// Departures due at times <= item.arrival are processed first.
-  /// Returns the bin chosen by the algorithm. The item's id is assigned by
-  /// the session (sequence number) and returned via the offered item list.
-  /// Throws std::invalid_argument on an out-of-order arrival (before the
-  /// session clock) or a departure <= arrival, without mutating any state.
+  /// Returns the bin chosen by the algorithm. The item's id is the number
+  /// of items offered before it.
+  /// Throws std::invalid_argument, without mutating any state, on an
+  /// out-of-order arrival (before the session clock), a departure <=
+  /// arrival, or a size that is not valid_item_size (not finite, negative,
+  /// or too large for an empty bin).
   BinId offer(Time arrival, Time departure, Load size);
 
   /// Advances the clock to `t`, processing departures with time <= t.
@@ -44,27 +49,28 @@ class InteractiveSession {
   [[nodiscard]] const Ledger& ledger() const { return ledger_; }
   [[nodiscard]] Time clock() const { return clock_; }
 
-  /// Everything offered so far, as an Instance (finalized copy) — this is
-  /// the sigma the adversary constructed, used to evaluate OPT on it.
-  [[nodiscard]] Instance to_instance() const;
-
-  /// Serializes the session (clock, offered items, full ledger state). The
-  /// driven algorithm's state is NOT included — the caller saves it
-  /// alongside iff the algorithm is Checkpointable (see src/serve/).
-  /// `load_state` restores into a freshly constructed session (throws
-  /// std::logic_error otherwise) and rebuilds the departure queue from the
-  /// ledger's active items, after which the session continues
-  /// bit-identically with the one that was saved.
+  /// Serializes the session's live state: clock, next item id, the active
+  /// items (id, arrival, departure, size; ascending id), then the ledger
+  /// (Ledger::save_state). Nothing about departed items is kept, so the
+  /// size is O(bins + active items). The driven algorithm's state is NOT
+  /// included — the caller saves it alongside iff the algorithm is
+  /// Checkpointable (see src/serve/). `load_state` restores into a freshly
+  /// constructed session (throws std::logic_error otherwise; a buffer whose
+  /// items disagree with its ledger throws std::runtime_error), after
+  /// which the session continues bit-identically with the one that was
+  /// saved.
   void save_state(StateWriter& w) const;
   void load_state(StateReader& r);
 
  private:
+  /// Departure-heap entry: the whole item, so on_departure needs no
+  /// per-item history (as in Simulator). Min-heap on (departure, id).
   struct Departure {
-    Time time;
-    ItemId item;
+    Item item;
     friend bool operator>(const Departure& a, const Departure& b) {
-      if (a.time != b.time) return a.time > b.time;
-      return a.item > b.item;
+      if (a.item.departure != b.item.departure)
+        return a.item.departure > b.item.departure;
+      return a.item.id > b.item.id;
     }
   };
 
@@ -72,9 +78,10 @@ class InteractiveSession {
 
   Algorithm* algo_;
   Ledger ledger_;
-  std::vector<Item> offered_;
-  std::priority_queue<Departure, std::vector<Departure>, std::greater<>> dq_;
-  std::vector<ItemId> active_scratch_;  ///< load_state rebuild buffer
+  /// Binary min-heap (std::push_heap/pop_heap with std::greater) over the
+  /// active items; a plain vector so save_state can read it.
+  std::vector<Departure> dq_;
+  ItemId next_id_ = 0;
   Time clock_ = 0.0;
 };
 

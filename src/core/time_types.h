@@ -51,6 +51,13 @@ inline constexpr double kTimeEps = 1e-9;
   return load + size <= kBinCapacity + kLoadEps;
 }
 
+/// True when `size` is a legal item size: finite, non-negative, and
+/// admitted by an empty bin (NaN fails the first comparison, +inf the
+/// second). Entry points that take untrusted sizes check this up front.
+[[nodiscard]] inline bool valid_item_size(Load size) noexcept {
+  return size >= 0.0 && fits_in_bin(0.0, size);
+}
+
 /// True when `a` exceeds `b` beyond tolerance (strict compare for
 /// algorithm thresholds such as HA's 1/(2*sqrt(i))).
 [[nodiscard]] inline bool definitely_greater(double a, double b) noexcept {

@@ -12,6 +12,7 @@
 #include <thread>
 #include <utility>
 
+#include "core/time_types.h"
 #include "obs/metrics.h"
 #include "serve/serve_metrics.h"
 
@@ -530,7 +531,7 @@ void NetListener::handle_offer(Loop& loop,
     refuse(ErrCode::kTimeOrder, "offer ids must increase");
     return;
   }
-  if (req.departure <= req.arrival || req.size < 0.0) {
+  if (req.departure <= req.arrival || !valid_item_size(req.size)) {
     refuse(ErrCode::kInvalid, "bad interval or size");
     return;
   }

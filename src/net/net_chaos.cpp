@@ -4,14 +4,14 @@
 #include <filesystem>
 #include <ostream>
 #include <stdexcept>
-#include <unordered_set>
+#include <unordered_map>
 #include <utility>
 
 #include "core/io_env.h"
 #include "net/client.h"
 #include "net/listener.h"
 #include "serve/request_stream.h"
-#include "serve/shard_router.h"
+#include "serve/wal_segment.h"
 
 namespace cdbp::net {
 
@@ -37,8 +37,7 @@ std::vector<serve::ServeRequest> make_stream(const NetChaosConfig& cfg,
 
 struct CaseOutcome {
   ClientReport client;
-  std::vector<serve::ServeResult> results;  // router's applied placements
-  std::uint64_t faults = 0;                 // env faults actually injected
+  std::uint64_t faults = 0;  // env faults actually injected
   ListenerCounters net;
 };
 
@@ -72,22 +71,8 @@ CaseOutcome run_case(const NetChaosConfig& cfg,
   out.net = listener.counters();
   listener.stop();
   router.stop();
-  out.results = router.results();
   if (env != nullptr) out.faults = env->faults_injected();
   return out;
-}
-
-/// Contract 1 — no acked-offer loss: every client-side kApplied id must be
-/// in the router's applied set. Returns an empty string when it holds.
-std::string check_acked_subset(const CaseOutcome& oc) {
-  std::unordered_set<std::uint64_t> applied;
-  applied.reserve(oc.results.size());
-  for (const serve::ServeResult& r : oc.results) applied.insert(r.stream_index);
-  for (const std::uint64_t id : oc.client.applied_ids)
-    if (applied.find(id) == applied.end())
-      return "client holds ack for stream index " + std::to_string(id) +
-             " but the router never applied it";
-  return {};
 }
 
 struct Case {
@@ -192,7 +177,8 @@ NetChaosReport run_net_chaos(const NetChaosConfig& cfg) {
                  << oc.client.applied << " lost=" << oc.client.lost
                  << " errored=" << oc.client.errored << "\n";
 
-      const std::string loss = check_acked_subset(oc);
+      const std::string loss = check_acks_in_wal(
+          dir, cfg.shards, stream, oc.client.applied_ids);
       if (!loss.empty()) {
         report.failures.push_back({seed, c.name, loss});
         continue;
@@ -232,6 +218,44 @@ NetChaosReport run_net_chaos(const NetChaosConfig& cfg) {
     }
   }
   return report;
+}
+
+std::string check_acks_in_wal(const std::string& wal_dir, std::size_t shards,
+                              const std::vector<serve::ServeRequest>& stream,
+                              const std::vector<std::uint64_t>& applied_ids) {
+  if (shards == 0) throw std::invalid_argument("check_acks_in_wal: 0 shards");
+  std::unordered_map<std::uint64_t, const std::string*> tenant_of;
+  tenant_of.reserve(stream.size());
+  for (const serve::ServeRequest& req : stream)
+    tenant_of.emplace(req.stream_index, &req.tenant);
+  // Acks not yet seen in their shard's log, keyed by stream index.
+  std::unordered_map<std::uint64_t, const std::string*> missing;
+  missing.reserve(applied_ids.size());
+  for (const std::uint64_t id : applied_ids) {
+    const auto it = tenant_of.find(id);
+    if (it == tenant_of.end())
+      return "client holds ack for stream index " + std::to_string(id) +
+             ", which the stream never offered";
+    missing.emplace(id, it->second);
+  }
+  for (std::size_t shard = 0; shard < shards && !missing.empty(); ++shard) {
+    const std::string base =
+        wal_dir + "/shard-" + std::to_string(shard) + ".wal";
+    serve::stream_segmented_wal(
+        base, serve::validate_segmented_wal(base), 0,
+        [&](const serve::WalRecord& rec) {
+          const auto it = missing.find(rec.stream_index);
+          if (it != missing.end() && *it->second == rec.tenant &&
+              serve::tenant_hash(rec.tenant) % shards == shard)
+            missing.erase(it);
+        });
+  }
+  if (missing.empty()) return {};
+  std::uint64_t first = missing.begin()->first;
+  for (const auto& [id, tenant] : missing) first = std::min(first, id);
+  return "client holds ack for stream index " + std::to_string(first) +
+         " (tenant " + *missing.at(first) +
+         ") but its shard's WAL has no such record";
 }
 
 }  // namespace cdbp::net

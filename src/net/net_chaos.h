@@ -7,9 +7,10 @@
 // the real filesystem, so disk stays out of the experiment), drives it with
 // the load-generating client, and checks:
 //
-//   1. no acked-offer loss: every stream index the client saw ACKED
-//      (kApplied) is present in the router's applied results — a fault may
-//      kill a connection, but never an acknowledged offer;
+//   1. no acked-offer loss: every offer the client saw ACKED (kApplied)
+//      is a (tenant, stream_index) record in its shard's WAL — a fault may
+//      kill a connection, but never an acknowledged offer (see
+//      check_acks_in_wal);
 //   2. transient noise transparency: EAGAIN/EINTR storms, short sends and
 //      latency on accept/read/write are absorbed by the event loop — the
 //      run completes with zero client-visible loss and zero errors;
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "core/algorithm.h"
+#include "serve/shard_router.h"
 
 namespace cdbp::net {
 
@@ -66,5 +68,16 @@ struct NetChaosReport {
 /// Runs the matrix. Throws std::invalid_argument on bad config; per-case
 /// contract violations are reported, not thrown.
 [[nodiscard]] NetChaosReport run_net_chaos(const NetChaosConfig& config);
+
+/// The ack-implies-durable oracle: every id in `applied_ids` (a client's
+/// kApplied set; ids are stream indices of `stream`, which names each
+/// one's tenant) must be logged as a (tenant, stream_index) record in the
+/// WAL of that tenant's shard under `wal_dir` (`shards` WALs, laid out as
+/// ShardRouter writes them). Read-only; streams each WAL, so memory is
+/// O(acks). Returns "" when the contract holds, else the first violation.
+[[nodiscard]] std::string check_acks_in_wal(
+    const std::string& wal_dir, std::size_t shards,
+    const std::vector<serve::ServeRequest>& stream,
+    const std::vector<std::uint64_t>& applied_ids);
 
 }  // namespace cdbp::net

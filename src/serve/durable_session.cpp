@@ -12,7 +12,11 @@ namespace cdbp::serve {
 
 namespace {
 
-constexpr char kCkptMagic[8] = {'C', 'D', 'B', 'P', 'C', 'K', 'P', '1'};
+/// v2: the session state carries only live items (see
+/// InteractiveSession::save_state). v1 files, which carried every item
+/// ever offered, are refused by name.
+constexpr char kCkptMagic[8] = {'C', 'D', 'B', 'P', 'C', 'K', 'P', '2'};
+constexpr char kCkptMagicV1[8] = {'C', 'D', 'B', 'P', 'C', 'K', 'P', '1'};
 
 obs::Counter& g_offers =
     obs::MetricsRegistry::global().counter("serve.offers");
@@ -74,6 +78,13 @@ void write_checkpoint_file(io::Env& env, const std::string& path,
 bool read_checkpoint_file(io::Env& env, const std::string& path,
                           std::string& payload) {
   if (!io::read_file(env, path, payload)) return false;
+  if (payload.size() >= sizeof(kCkptMagicV1) &&
+      std::memcmp(payload.data(), kCkptMagicV1, sizeof(kCkptMagicV1)) == 0)
+    throw std::runtime_error(
+        "checkpoint: '" + path +
+        "' is in the retired CDBPCKP1 format; this build reads CDBPCKP2 "
+        "only (remove the file to replay the full WAL, if it is not "
+        "compacted)");
   if (payload.size() < sizeof(kCkptMagic) + 12 ||
       std::memcmp(payload.data(), kCkptMagic, sizeof(kCkptMagic)) != 0)
     throw std::runtime_error("checkpoint: bad header in '" + path + "'");

@@ -437,7 +437,7 @@ void ShardRouter::worker_loop(Shard& shard) {
       continue;
     }
     // The ack instant: every offer in the batch is durable per the fsync
-    // policy and about to become visible in results().
+    // policy.
     const std::uint64_t ack_ns = mono_now_ns();
     {
       obs::TraceSpan ack_span(
@@ -457,9 +457,6 @@ void ShardRouter::worker_loop(Shard& shard) {
       }
     }
     shard.stats.applied += pending.size();
-    shard.applied.insert(shard.applied.end(),
-                         std::make_move_iterator(pending.begin()),
-                         std::make_move_iterator(pending.end()));
   }
   // Queue closed and drained: finalize. Costs/open-bin counts are part of
   // the stats contract, so compute them before the WAL handle goes away.
@@ -515,22 +512,6 @@ const ShardStats& ShardRouter::stats(std::size_t shard) const {
   if (!stopped_.load(std::memory_order_acquire))
     throw std::logic_error("serve: stats before stop");
   return shards_.at(shard)->stats;
-}
-
-std::vector<ServeResult> ShardRouter::results() const {
-  if (!stopped_.load(std::memory_order_acquire))
-    throw std::logic_error("serve: results before stop");
-  std::vector<ServeResult> out;
-  for (const auto& shard : shards_)
-    out.insert(out.end(), shard->applied.begin(), shard->applied.end());
-  std::sort(out.begin(), out.end(),
-            [](const ServeResult& a, const ServeResult& b) {
-              if (a.stream_index != b.stream_index)
-                return a.stream_index < b.stream_index;
-              if (a.shard != b.shard) return a.shard < b.shard;
-              return a.seq < b.seq;
-            });
-  return out;
 }
 
 Cost ShardRouter::total_cost() const {

@@ -25,11 +25,18 @@
 //
 // Durability batching: a worker drains its queue in batches (up to
 // kWorkerBatch requests), appends each offer with deferred durability,
-// then issues ONE commit() for the whole batch before recording any of
-// its results — so under fsync=every a busy shard pays one fsync per
-// drained batch, not one per offer, and that single fsync is further
-// merged across shards by the shared GroupCommitCoordinator. An offer is
-// never acknowledged (visible in results()) before its commit returned.
+// then issues ONE commit() for the whole batch before acknowledging any
+// of it — so under fsync=every a busy shard pays one fsync per drained
+// batch, not one per offer, and that single fsync is further merged
+// across shards by the shared GroupCommitCoordinator. An offer is never
+// acknowledged (kApplied through the ack callback) before its commit
+// returned.
+//
+// Memory: the router keeps no per-offer history. Placements leave only
+// through the ack callback (the network front end answers each client
+// from it; `cdbp serve --out` collects them there), and each shard's
+// session holds live state only — so a long-running router's footprint
+// tracks open bins, active items and tenants, not offers served.
 #pragma once
 
 #include <atomic>
@@ -116,7 +123,7 @@ struct ServeRequest {
   std::uint64_t admit_ns = 0;
 };
 
-/// One applied placement, reported after stop().
+/// One terminal outcome, as passed to the ack callback.
 struct ServeResult {
   std::uint64_t stream_index = 0;
   std::string tenant;
@@ -218,16 +225,13 @@ class ShardRouter {
   /// session (finish + WAL close), and rethrows the first unexpected
   /// worker error. I/O failures do NOT surface here — they flip the
   /// failing shard to degraded mode (see ShardStats::degraded) while the
-  /// rest keep serving. Idempotent. Stats/results are valid only after
-  /// stop() returns.
+  /// rest keep serving. Idempotent. Stats are valid only after stop()
+  /// returns.
   void stop();
 
   [[nodiscard]] std::size_t shards() const noexcept { return shards_.size(); }
   /// Valid after stop().
   [[nodiscard]] const ShardStats& stats(std::size_t shard) const;
-  /// All applied placements, merged across shards and sorted by
-  /// stream_index. Valid after stop().
-  [[nodiscard]] std::vector<ServeResult> results() const;
   /// Sum of per-shard final costs. Valid after stop().
   [[nodiscard]] Cost total_cost() const;
 
@@ -274,7 +278,6 @@ class ShardRouter {
     std::unique_ptr<DurableSession> session;
     std::unique_ptr<RequestQueue> queue;
     ShardStats stats;
-    std::vector<ServeResult> applied;
     std::future<void> done;
     /// Set (release) by the worker after stats.degrade_reason is written;
     /// producers read it (acquire) in try_submit. Sticky.

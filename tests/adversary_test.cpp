@@ -57,6 +57,36 @@ TEST(Adversary, ConstructedInstanceIsWellFormed) {
   EXPECT_GT(out.online_cost, 0.0);
 }
 
+TEST(Adversary, InstanceIsTheOfferedSequence) {
+  // sigma is recorded as the adversary offers it: every burst at t = i is
+  // a prefix of the ladder (shortest to longest), in offer order, with
+  // each item's interval and load exactly as released.
+  algos::FirstFit ff;
+  adversary::AdversaryConfig cfg;
+  cfg.n = 5;
+  cfg.rounds = 12;
+  const auto out = adversary::run_lower_bound_adversary(cfg, ff);
+  const auto ladder = adversary::sigma_star_ladder(cfg.n);
+  ASSERT_EQ(out.instance.size(), out.items);
+  std::size_t k = 0;
+  std::size_t bursts = 0;
+  for (int t = 0; t < cfg.rounds; ++t) {
+    std::size_t rung = 0;
+    for (; k < out.instance.size() &&
+           out.instance[k].arrival == static_cast<Time>(t);
+         ++k, ++rung) {
+      const Item& it = out.instance[k];
+      ASSERT_LT(rung, ladder.size()) << "t=" << t;
+      EXPECT_EQ(it.id, static_cast<ItemId>(k));
+      EXPECT_EQ(it.departure, static_cast<Time>(t) + ladder[rung].length);
+      EXPECT_EQ(it.size, ladder[rung].load);
+    }
+    if (rung > 0) ++bursts;
+  }
+  EXPECT_EQ(k, out.instance.size()) << "items outside the burst times";
+  EXPECT_EQ(bursts, out.bursts);
+}
+
 TEST(Adversary, OnlineCostMatchesReplay) {
   // Re-running the constructed instance through a fresh copy of the same
   // algorithm must reproduce the interactive cost (the adversary adapts to

@@ -1,11 +1,15 @@
 #include "cli/cli.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <tuple>
 
 #include <gtest/gtest.h>
+
+#include "serve/wal_segment.h"
 
 namespace cdbp::cli {
 namespace {
@@ -493,6 +497,75 @@ TEST(Cli, ServeResumeMatchesUninterruptedRun) {
   std::remove(half.c_str());
   fs::remove_all(ref_dir);
   fs::remove_all(crash_dir);
+}
+
+// The router keeps no placements; file-fed --out gathers them from the
+// acks. The CSV must be exactly the sorted applied log — every WAL record
+// of a fresh run as (stream_index, tenant, shard, seq, bin), ordered by
+// (stream_index, shard, seq) — byte for byte what it always was.
+TEST(Cli, ServeOutCsvIsTheSortedAppliedLog) {
+  namespace fs = std::filesystem;
+  const std::string stream = temp_file("cdbp_cli_out_stream.csv");
+  const std::string placements = temp_file("cdbp_cli_out_placements.csv");
+  const fs::path wal_dir = fs::temp_directory_path() / "cdbp_cli_out_wal";
+  fs::remove_all(wal_dir);
+  ASSERT_EQ(cli({"gen-stream", "--out", stream, "--items", "300",
+                 "--tenants", "7", "--seed", "5"})
+                .code,
+            0);
+  const CliRun serve =
+      cli({"serve", "--algo", "ha", "--in", stream, "--wal-dir",
+           wal_dir.string(), "--shards", "3", "--fsync", "none", "--out",
+           placements});
+  ASSERT_EQ(serve.code, 0) << serve.err;
+  EXPECT_NE(serve.out.find("placements written to " + placements),
+            std::string::npos);
+
+  struct Row {
+    std::uint64_t stream_index, shard, seq;
+    std::string tenant;
+    BinId bin;
+  };
+  std::vector<Row> rows;
+  for (std::uint64_t shard = 0; shard < 3; ++shard) {
+    const serve::SegmentedWalScan scan = serve::scan_segmented_wal(
+        (wal_dir / ("shard-" + std::to_string(shard) + ".wal")).string());
+    for (const serve::WalRecord& r : scan.records)
+      rows.push_back(Row{r.stream_index, shard, r.seq, r.tenant, r.bin});
+  }
+  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    return std::tie(a.stream_index, a.shard, a.seq) <
+           std::tie(b.stream_index, b.shard, b.seq);
+  });
+  std::ostringstream expected;
+  expected << "stream_index,tenant,shard,seq,bin\n";
+  for (const Row& r : rows)
+    expected << r.stream_index << ',' << r.tenant << ',' << r.shard << ','
+             << r.seq << ',' << r.bin << "\n";
+  std::ifstream in(placements);
+  std::ostringstream got;
+  got << in.rdbuf();
+  EXPECT_GT(rows.size(), 250u);
+  EXPECT_EQ(got.str(), expected.str());
+
+  std::remove(stream.c_str());
+  std::remove(placements.c_str());
+  fs::remove_all(wal_dir);
+}
+
+TEST(Cli, ServeListenRejectsOut) {
+  namespace fs = std::filesystem;
+  const fs::path wal_dir = fs::temp_directory_path() / "cdbp_cli_listen_out";
+  fs::remove_all(wal_dir);
+  const CliRun r =
+      cli({"serve", "--algo", "ff", "--listen", "127.0.0.1:0", "--wal-dir",
+           wal_dir.string(), "--out", temp_file("cdbp_cli_listen_out.csv")});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("--out is file-fed only"), std::string::npos)
+      << r.err;
+  EXPECT_FALSE(fs::exists(wal_dir)) << "rejected before touching the disk";
+  const CliRun help = cli({"help"});
+  EXPECT_NE(help.out.find("file-fed only"), std::string::npos);
 }
 
 TEST(Cli, PackInstanceRoundTripsThroughBinary) {

@@ -1,5 +1,7 @@
 #include "core/item.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace cdbp {
@@ -96,6 +98,21 @@ TEST(TimeTypes, FitsInBinRespectsTolerance) {
   EXPECT_TRUE(fits_in_bin(0.5, 0.5));
   EXPECT_TRUE(fits_in_bin(0.5, 0.5 + 0.5 * kLoadEps));
   EXPECT_FALSE(fits_in_bin(0.5, 0.51));
+}
+
+TEST(TimeTypes, ValidItemSizeDomain) {
+  EXPECT_TRUE(valid_item_size(0.0));
+  EXPECT_TRUE(valid_item_size(-0.0));
+  EXPECT_TRUE(valid_item_size(0.5));
+  EXPECT_TRUE(valid_item_size(kBinCapacity));
+  EXPECT_TRUE(valid_item_size(kBinCapacity + 0.5 * kLoadEps));
+  EXPECT_FALSE(valid_item_size(kBinCapacity + 1e-6));
+  EXPECT_FALSE(valid_item_size(1.5));
+  EXPECT_FALSE(valid_item_size(-0.5));
+  EXPECT_FALSE(valid_item_size(-std::numeric_limits<double>::denorm_min()));
+  EXPECT_FALSE(valid_item_size(std::numeric_limits<double>::quiet_NaN()));
+  EXPECT_FALSE(valid_item_size(std::numeric_limits<double>::infinity()));
+  EXPECT_FALSE(valid_item_size(-std::numeric_limits<double>::infinity()));
 }
 
 TEST(TimeTypes, Log2Helpers) {

@@ -1,5 +1,6 @@
 #include "core/session.h"
 
+#include <limits>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -76,15 +77,58 @@ TEST(InteractiveSession, RejectsTimeTravel) {
   EXPECT_EQ(session.offer(5.0, 7.0, 0.5), 0);
 }
 
-TEST(InteractiveSession, ToInstanceRoundTrips) {
+// Regression (fixed seed): an oversized size reached the algorithm before
+// the ledger refused it (HA bumped its per-type load and opened a bin),
+// and a negative one was placed, overfilling its bin. Every out-of-range
+// size must throw std::invalid_argument with no trace in any state: the
+// clock, open bins, cost, and every later decision match a session that
+// never saw the bad offers.
+TEST(InteractiveSession, RejectsOutOfRangeSizesWithoutStateChange) {
+  std::mt19937_64 rng(97);
+  workloads::GeneralConfig cfg;
+  cfg.target_items = 120;
+  cfg.log2_mu = 5;
+  cfg.horizon = 64.0;
+  const Instance instance = workloads::make_general_random(cfg, rng);
+  const double bad_sizes[] = {1.5,
+                              -0.5,
+                              1.0 + 1e-6,
+                              std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity()};
+  for (const auto& factory : testutil::online_factories()) {
+    const AlgorithmPtr probed_algo = factory.make();
+    const AlgorithmPtr clean_algo = factory.make();
+    InteractiveSession probed(*probed_algo);
+    InteractiveSession clean(*clean_algo);
+    for (std::size_t i = 0; i < instance.size(); ++i) {
+      const Item& it = instance[i];
+      if (i % 20 == 10) {
+        const Time clock = probed.clock();
+        const std::size_t open = probed.open_bins();
+        const Cost cost = probed.cost_so_far();
+        for (const double size : bad_sizes)
+          EXPECT_THROW(probed.offer(it.arrival, it.departure, size),
+                       std::invalid_argument)
+              << factory.name << " size " << size;
+        EXPECT_EQ(probed.clock(), clock) << factory.name;
+        EXPECT_EQ(probed.open_bins(), open) << factory.name;
+        EXPECT_EQ(probed.cost_so_far(), cost) << factory.name;
+      }
+      ASSERT_EQ(probed.offer(it.arrival, it.departure, it.size),
+                clean.offer(it.arrival, it.departure, it.size))
+          << factory.name << ": item " << i;
+    }
+    EXPECT_EQ(probed.finish(), clean.finish()) << factory.name;
+  }
+}
+
+TEST(InteractiveSession, AcceptsSizesUpToAFullBin) {
   algos::FirstFit ff;
   InteractiveSession session(ff);
-  session.offer(0.0, 2.0, 0.5);
-  session.offer(1.0, 4.0, 0.25);
-  const Instance in = session.to_instance();
-  ASSERT_EQ(in.size(), 2u);
-  EXPECT_DOUBLE_EQ(in[0].arrival, 0.0);
-  EXPECT_DOUBLE_EQ(in[1].departure, 4.0);
+  EXPECT_EQ(session.offer(0.0, 1.0, 1.0), 0);
+  EXPECT_EQ(session.offer(0.0, 1.0, 0.0), 0);  // a zero fits a full bin
+  EXPECT_EQ(session.offer(0.0, 1.0, 1.0 + kLoadEps / 2), 1);
 }
 
 TEST(InteractiveSession, FinishOnEmptySessionIsZero) {

@@ -19,9 +19,11 @@
 
 #include "cli/cli.h"
 #include "net/client.h"
+#include "net/net_chaos.h"
 #include "net/protocol.h"
 #include "serve/request_stream.h"
 #include "serve/shard_router.h"
+#include "serve/wal_segment.h"
 
 namespace cdbp::net {
 namespace {
@@ -161,6 +163,25 @@ class NetListenerTest : public ::testing::Test {
     router_->stop();
   }
 
+  /// Offers applied across all shards (valid after finish()).
+  [[nodiscard]] std::uint64_t applied_total() const {
+    std::uint64_t n = 0;
+    for (std::size_t i = 0; i < router_->shards(); ++i)
+      n += router_->stats(i).applied;
+    return n;
+  }
+
+  /// Every record in every shard's WAL, shard by shard (after finish()).
+  [[nodiscard]] std::vector<serve::WalRecord> wal_records() const {
+    std::vector<serve::WalRecord> out;
+    for (std::size_t i = 0; i < router_->shards(); ++i) {
+      const serve::SegmentedWalScan scan = serve::scan_segmented_wal(
+          (dir_ / ("shard-" + std::to_string(i) + ".wal")).string());
+      out.insert(out.end(), scan.records.begin(), scan.records.end());
+    }
+    return out;
+  }
+
   fs::path dir_;
   std::unique_ptr<serve::ShardRouter> router_;
   std::unique_ptr<NetListener> listener_;
@@ -185,7 +206,38 @@ TEST_F(NetListenerTest, LoadGeneratorRoundTripAllApplied) {
   EXPECT_EQ(counters_.protocol_errors, 0u);
   EXPECT_GT(counters_.bytes_in, 0u);
   EXPECT_GT(counters_.bytes_out, 0u);
-  EXPECT_EQ(router_->results().size(), stream.size());
+  EXPECT_EQ(applied_total(), stream.size());
+  EXPECT_EQ(wal_records().size(), stream.size());
+}
+
+// The ack-implies-durable oracle the chaos matrix and E18 use: it accepts
+// a clean run's acks, and it catches an ack with no WAL record behind it,
+// whether the id was never logged or was logged under another tenant.
+TEST_F(NetListenerTest, AckOracleChecksEveryAckAgainstTheShardWals) {
+  start(2);
+  const std::vector<serve::ServeRequest> stream =
+      serve::generate_stream(serve::StreamGenConfig{60, 4, 13, 5, 64.0});
+  ClientConfig cc;
+  cc.port = listener_->port();
+  const ClientReport rep = run_load(cc, stream);
+  ASSERT_EQ(rep.applied, stream.size());
+  finish();
+  const std::string dir = dir_.string();
+  EXPECT_EQ(check_acks_in_wal(dir, 2, stream, rep.applied_ids), "");
+
+  std::vector<serve::ServeRequest> longer = stream;
+  longer.push_back(stream.back());
+  longer.back().stream_index = stream.size() + 1;  // offered, never sent
+  std::vector<std::uint64_t> ghost = rep.applied_ids;
+  ghost.push_back(stream.size() + 1);
+  EXPECT_NE(check_acks_in_wal(dir, 2, longer, ghost), "");
+
+  std::vector<serve::ServeRequest> renamed = stream;
+  renamed[5].tenant += "-other";
+  EXPECT_NE(check_acks_in_wal(dir, 2, renamed, rep.applied_ids)
+                .find("stream index " +
+                      std::to_string(renamed[5].stream_index) + " "),
+            std::string::npos);
 }
 
 TEST_F(NetListenerTest, PollFallbackServesIdentically) {
@@ -280,8 +332,10 @@ TEST_F(NetListenerTest, HostileTenantIdsAreGatedAtTheProtocolLayer) {
   }
   finish();
   // Only the validated raw id reaches the router.
-  ASSERT_EQ(router_->results().size(), 1u);
-  EXPECT_EQ(router_->results().front().tenant, "Tenant_0.9-ok");
+  EXPECT_EQ(applied_total(), 1u);
+  const std::vector<serve::WalRecord> logged = wal_records();
+  ASSERT_EQ(logged.size(), 1u);
+  EXPECT_EQ(logged.front().tenant, "Tenant_0.9-ok");
 }
 
 TEST_F(NetListenerTest, TenantsSharingAShardMayReuseOfferIds) {
@@ -320,7 +374,47 @@ TEST_F(NetListenerTest, TenantsSharingAShardMayReuseOfferIds) {
   EXPECT_EQ(counters_.offers_applied, 6u);
   EXPECT_EQ(counters_.offers_skipped, 0u);
   EXPECT_EQ(counters_.protocol_errors, 0u);
-  EXPECT_EQ(router_->results().size(), 6u);
+  EXPECT_EQ(applied_total(), 6u);
+  const std::vector<serve::WalRecord> logged = wal_records();
+  ASSERT_EQ(logged.size(), 6u);
+  for (std::size_t i = 0; i < logged.size(); ++i) {
+    EXPECT_EQ(logged[i].tenant, i < 3 ? "tenant-a" : "tenant-b");
+    EXPECT_EQ(logged[i].stream_index, i % 3 + 1);
+  }
+}
+
+// Regression (fixed input): an OFFER with size 1.5 passed the listener's
+// check, and the ledger's capacity logic_error then degraded the shard.
+// Out-of-range sizes are typed kInvalid at the door; the connection and
+// the shard keep serving.
+TEST_F(NetListenerTest, OutOfRangeSizeIsInvalidAndTheShardKeepsServing) {
+  start(1);
+  RawConn conn(listener_->port());
+  conn.send_magic();
+  conn.hello("t0");
+  ASSERT_TRUE(conn.recv_response().has_value());  // hello ack
+  std::uint64_t id = 1;
+  for (const double size : {1.5, -0.5, 1.0 + 1e-6}) {
+    conn.offer(id, 0.0, 2.0, size);
+    const std::optional<Response> resp = conn.recv_response();
+    ASSERT_TRUE(resp.has_value()) << "size " << size;
+    EXPECT_EQ(resp->type, MsgType::kError) << "size " << size;
+    EXPECT_EQ(resp->code, ErrCode::kInvalid) << "size " << size;
+    EXPECT_EQ(resp->id, id);
+    ++id;
+  }
+  conn.offer(id, 0.0, 2.0, 0.5);
+  const std::optional<Response> ack = conn.recv_response();
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->type, MsgType::kAck);
+  EXPECT_EQ(ack->ack, AckStatus::kApplied);
+  finish();
+  EXPECT_FALSE(router_->stats(0).degraded) << router_->stats(0).degrade_reason;
+  EXPECT_EQ(counters_.offers_failed, 3u);
+  EXPECT_EQ(applied_total(), 1u);
+  const std::vector<serve::WalRecord> logged = wal_records();
+  ASSERT_EQ(logged.size(), 1u);
+  EXPECT_EQ(logged.front().size, 0.5);
 }
 
 TEST_F(NetListenerTest, CorruptFrameClosesWithBadFrame) {
@@ -523,7 +617,7 @@ TEST_F(NetListenerTest, MiniSoakManyTenantsZeroLoss) {
   EXPECT_EQ(counters_.active, 0u);
   EXPECT_EQ(counters_.closed, 128u);
   EXPECT_EQ(counters_.offers_applied, stream.size());
-  EXPECT_EQ(router_->results().size(), stream.size());
+  EXPECT_EQ(applied_total(), stream.size());
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ack_log.h"
 #include "cli/cli.h"
 #include "core/io_env.h"
 #include "serve/durable_session.h"
@@ -204,6 +205,7 @@ TEST_F(FaultMatrixTest, DegradedShardRejectsWhileHealthyShardsServe) {
   cfg.fsync = FsyncPolicy::kEvery;
   cfg.env = &env;
   ShardRouter router(cfg, [] { return cli::make_algorithm("ff"); }, "ff");
+  const testutil::AckLog acks(router);
 
   // Find one tenant per shard.
   std::string sick_tenant, healthy_tenant;
@@ -266,7 +268,8 @@ TEST_F(FaultMatrixTest, DegradedShardRejectsWhileHealthyShardsServe) {
                                  "commit failed";
   EXPECT_FALSE(healthy.degraded);
   EXPECT_GT(healthy.applied, 0u);
-  for (const ServeResult& r : router.results())
+  EXPECT_EQ(acks.applied().size(), healthy.applied);
+  for (const ServeResult& r : acks.applied())
     EXPECT_EQ(r.shard, 1u) << "only healthy-shard acks may be visible";
 }
 

@@ -532,5 +532,84 @@ TEST_F(RecoveryTest, PermissionDeniedCheckpointIsAnError) {
   ::chmod(cfg.checkpoint_path.c_str(), 0644);  // let TearDown clean up
 }
 
+// A checkpoint holds live state only: a session that packed 1e5 offers
+// into one long-lived bin, never holding more than two items at once,
+// writes exactly as many bytes as it did after 1e2 offers. (A format that
+// kept every offered item grew ~24 B per offer here.) The big checkpoint
+// must still restore to the uninterrupted state.
+TEST_F(RecoveryTest, CheckpointSizeTracksLiveStateNotOffers) {
+  const auto cfg = config("bounded", false, 0);
+  const auto file_size = [&] {
+    return fs::file_size(cfg.checkpoint_path);
+  };
+  std::uintmax_t small = 0;
+  std::uintmax_t large = 0;
+  Cost live_cost = 0.0;
+  {
+    DurableSession s(cli::make_algorithm("ff"), "ff", cfg);
+    EXPECT_EQ(s.offer(0.0, 1e9, 0.5, 1), 0);  // the long-lived item
+    for (std::uint64_t k = 1; k < 100'000; ++k) {
+      const auto t = static_cast<Time>(k);
+      // Item k-1 departs at t, before item k arrives: <= 2 ever active.
+      ASSERT_EQ(s.offer(t, t + 1.0, 0.25, k + 1), 0) << "offer " << k;
+      if (k + 1 == 100) {
+        ASSERT_TRUE(s.checkpoint_now());
+        small = file_size();
+      }
+    }
+    ASSERT_TRUE(s.checkpoint_now());
+    large = file_size();
+    EXPECT_EQ(s.session().ledger().bins_opened(), 1u);
+    s.close();
+    live_cost = s.finish();
+  }
+  EXPECT_GT(small, 0u);
+  EXPECT_EQ(large, small);
+
+  DurableSession rec(cli::make_algorithm("ff"), "ff",
+                     config("bounded", true, 0));
+  EXPECT_TRUE(rec.recovery().used_checkpoint);
+  EXPECT_EQ(rec.recovery().checkpoint_seq, 100'000u);
+  EXPECT_EQ(rec.recovery().replayed, 0u);
+  EXPECT_EQ(rec.session().ledger().active_items(), 2u);
+  EXPECT_EQ(rec.finish(), live_cost);
+}
+
+// The v1 format carried every offered item; this build refuses such a file
+// by name instead of misreading it or silently replaying around it.
+TEST_F(RecoveryTest, RetiredV1CheckpointIsRefusedByName) {
+  const Instance instance = general_instance(15);
+  const auto cfg = config("v1", false, 2);
+  {
+    DurableSession s(cli::make_algorithm("ff"), "ff", cfg);
+    for (std::size_t i = 0; i < 4; ++i) {
+      const Item& it = instance[i];
+      s.offer(it.arrival, it.departure, it.size, i + 1);
+    }
+    s.close();
+  }
+  {
+    std::fstream f(cfg.checkpoint_path,
+                   std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f);
+    f.write("CDBPCKP1", 8);  // the v1 magic over an otherwise intact file
+  }
+  try {
+    DurableSession rec(cli::make_algorithm("ff"), "ff",
+                       config("v1", true, 2));
+    ADD_FAILURE() << "a CDBPCKP1 checkpoint was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("CDBPCKP1"), std::string::npos)
+        << e.what();
+  }
+  try {
+    (void)read_checkpoint_info(cfg.checkpoint_path);
+    ADD_FAILURE() << "read_checkpoint_info accepted a CDBPCKP1 file";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("CDBPCKP1"), std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace cdbp::serve

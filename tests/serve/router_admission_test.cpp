@@ -211,8 +211,13 @@ TEST_F(RouterAdmissionTest, DegradedShardPropagatesCleanlyUnderRace) {
   }
 
   std::atomic<std::uint64_t> sick_applied{0}, sick_dropped{0};
+  std::atomic<std::uint64_t> healthy_applied{0};
   router.set_on_ack([&](const ServeResult& r, AckKind kind) {
-    if (r.shard != 0) return;
+    if (r.shard != 0) {
+      if (kind == AckKind::kApplied)
+        healthy_applied.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
     if (kind == AckKind::kApplied)
       sick_applied.fetch_add(1, std::memory_order_relaxed);
     else if (kind == AckKind::kDropped)
@@ -269,8 +274,9 @@ TEST_F(RouterAdmissionTest, DegradedShardPropagatesCleanlyUnderRace) {
       << "an accepted request must terminate exactly once";
   EXPECT_GT(sick_refused.load(), 0u)
       << "degradation never became visible to producers";
-  for (const ServeResult& r : router.results())
-    EXPECT_EQ(r.shard, 1u) << "only healthy-shard placements may survive";
+  EXPECT_EQ(sick_applied.load(), 0u)
+      << "only healthy-shard placements may survive";
+  EXPECT_EQ(healthy_applied.load(), healthy.applied);
 }
 
 }  // namespace

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include "ack_log.h"
 #include "algos/any_fit.h"
+#include "algos/hybrid.h"
 #include "cli/cli.h"
 #include "core/session.h"
 #include "serve/request_stream.h"
@@ -60,12 +62,13 @@ TEST_F(ShardRouterTest, SingleShardMatchesInteractiveSession) {
   const std::vector<ServeRequest> stream =
       generate_stream(StreamGenConfig{120, 4, 21, 5, 64.0});
   ShardRouter router(config(1), ff_factory(), "ff");
+  const testutil::AckLog acks(router);
   for (const ServeRequest& req : stream) EXPECT_TRUE(router.submit(req));
   router.stop();
 
   algos::FirstFit ff;
   InteractiveSession session(ff);
-  const std::vector<ServeResult> results = router.results();
+  const std::vector<ServeResult> results = acks.applied();
   ASSERT_EQ(results.size(), stream.size());
   for (std::size_t i = 0; i < stream.size(); ++i) {
     const ServeRequest& req = stream[i];
@@ -82,13 +85,15 @@ TEST_F(ShardRouterTest, RoutesEachTenantToOneShard) {
   const std::vector<ServeRequest> stream =
       generate_stream(StreamGenConfig{200, 16, 3, 5, 64.0});
   ShardRouter router(config(4), ff_factory(), "ff");
+  const testutil::AckLog acks(router);
   for (const ServeRequest& req : stream) EXPECT_TRUE(router.submit(req));
   router.stop();
 
   std::uint64_t applied = 0;
   for (std::size_t i = 0; i < 4; ++i) applied += router.stats(i).applied;
   EXPECT_EQ(applied, stream.size());
-  for (const ServeResult& r : router.results())
+  EXPECT_EQ(acks.applied().size(), stream.size());
+  for (const ServeResult& r : acks.applied())
     EXPECT_EQ(r.shard, router.shard_of(r.tenant));
 }
 
@@ -98,6 +103,7 @@ TEST_F(ShardRouterTest, MultiProducerMultiShardStress) {
   RouterConfig rc = config(4);
   rc.queue_capacity = 32;  // small queue: exercise blocking backpressure
   ShardRouter router(rc, ff_factory(), "ff");
+  const testutil::AckLog acks(router);
 
   constexpr std::size_t kProducers = 4;
   constexpr std::size_t kPerProducer = 500;
@@ -125,7 +131,7 @@ TEST_F(ShardRouterTest, MultiProducerMultiShardStress) {
   }
   EXPECT_EQ(applied, kProducers * kPerProducer);
   EXPECT_EQ(invalid, 0u);
-  EXPECT_EQ(router.results().size(), kProducers * kPerProducer);
+  EXPECT_EQ(acks.applied().size(), kProducers * kPerProducer);
 }
 
 TEST_F(ShardRouterTest, RejectPolicyRefusesWhenQueueIsFull) {
@@ -196,6 +202,45 @@ TEST_F(ShardRouterTest, InvalidRequestsAreCountedNotFatal) {
   EXPECT_EQ(router.stats(0).invalid, 2u);
 }
 
+// Regression (fixed seed): a file-fed row whose size is out of range used
+// to reach the algorithm — HA bumped its type load and opened a bin — and
+// the ledger's capacity logic_error then degraded the whole shard. A
+// negative size was applied and overfilled its bin. Every such row must
+// be counted invalid while the shard keeps serving the rest of the stream
+// exactly as if those rows had never been sent.
+TEST_F(ShardRouterTest, OutOfRangeSizesInAFileFeedAreInvalidNotDegrading) {
+  std::vector<ServeRequest> rows =
+      generate_stream(StreamGenConfig{80, 3, 17, 5, 64.0});
+  ASSERT_GT(rows.size(), 40u);
+  rows[10].size = 1.5;
+  rows[20].size = -0.5;
+  rows[30].size = 1.0 + 1e-6;
+  const std::string csv = (dir_.parent_path() /
+                           (dir_.filename().string() + ".csv"))
+                              .string();
+  write_stream_csv(rows, csv);
+  const std::vector<ServeRequest> stream = read_stream_csv(csv);
+  fs::remove(csv);
+  ASSERT_EQ(stream.size(), rows.size());
+
+  ShardRouter router(config(1), [] { return cli::make_algorithm("ha"); },
+                     "ha");
+  for (const ServeRequest& req : stream) EXPECT_TRUE(router.submit(req));
+  router.stop();
+
+  algos::Hybrid ha;
+  InteractiveSession clean(ha);
+  for (std::size_t i = 0; i < stream.size(); ++i)
+    if (i != 10 && i != 20 && i != 30)
+      clean.offer(stream[i].arrival, stream[i].departure, stream[i].size);
+  const ShardStats& s = router.stats(0);
+  EXPECT_FALSE(s.degraded) << s.degrade_reason;
+  EXPECT_EQ(s.invalid, 3u);
+  EXPECT_EQ(s.degraded_dropped, 0u);
+  EXPECT_EQ(s.applied, stream.size() - 3);
+  EXPECT_EQ(router.total_cost(), clean.finish());
+}
+
 // Resume dedup must key on (tenant, stream_index), not a shard-global
 // high-water mark: tenant "a" pushes its ids to 6 before the restart;
 // tenant "b" (same shard — there is only one) first appears AFTER the
@@ -250,7 +295,6 @@ TEST_F(ShardRouterTest, ResumeDedupIsPerTenantNotPerShard) {
 TEST_F(ShardRouterTest, LifecycleGuards) {
   auto router = std::make_unique<ShardRouter>(config(2), ff_factory(), "ff");
   EXPECT_THROW((void)router->stats(0), std::logic_error);
-  EXPECT_THROW((void)router->results(), std::logic_error);
   router->stop();
   router->stop();  // idempotent
   ServeRequest req;
