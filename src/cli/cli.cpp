@@ -26,6 +26,7 @@
 #include "analysis/ratio.h"
 #include "cluster/cluster.h"
 #include "core/checkpoint.h"
+#include "core/frame.h"
 #include "net/client.h"
 #include "net/listener.h"
 #include "net/net_chaos.h"
@@ -1137,8 +1138,8 @@ int cmd_wal_dump(Flags& flags, std::ostream& out) {
         }
         return s.empty() ? std::string("empty") : s;
       };
-  // A segment-chain base has a manifest next to it; a raw file (legacy log
-  // or an individual .seg) is dumped directly.
+  // A segment-chain base has a manifest next to it; a raw file (an
+  // individual .seg) is dumped directly.
   const bool raw_segment =
       path.size() > 4 && path.compare(path.size() - 4, 4, ".seg") == 0;
   if (!raw_segment && serve::read_wal_manifest(path)) {

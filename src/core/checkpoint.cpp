@@ -1,56 +1,8 @@
 #include "core/checkpoint.h"
 
-#include <array>
 #include <stdexcept>
 
 namespace cdbp {
-
-namespace {
-
-// Slicing-by-8 tables: kCrcTables[0] is the classic byte-at-a-time table;
-// kCrcTables[k][b] is the CRC contribution of byte b followed by k zero
-// bytes, so eight table lookups advance the CRC over eight input bytes.
-using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
-
-constexpr CrcTables make_crc_tables() {
-  CrcTables t{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k)
-      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    t[0][i] = c;
-  }
-  for (std::size_t k = 1; k < 8; ++k)
-    for (std::size_t i = 0; i < 256; ++i)
-      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
-  return t;
-}
-
-constexpr CrcTables kCrcTables = make_crc_tables();
-
-std::uint32_t load_u32_le(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-}  // namespace
-
-std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
-  const auto& t = kCrcTables;
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (; size >= 8; size -= 8, p += 8) {
-    const std::uint32_t lo = load_u32_le(p) ^ c;
-    const std::uint32_t hi = load_u32_le(p + 4);
-    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
-        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
-        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
-  }
-  for (; size > 0; --size, ++p) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
-}
 
 std::string_view StateReader::take(std::uint64_t n) {
   if (n > data_.size() - pos_)

@@ -21,12 +21,6 @@
 
 namespace cdbp {
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a byte range.
-/// Used by the checkpoint files and the serve WAL frames to detect torn or
-/// corrupted writes. `seed` chains incremental computations.
-[[nodiscard]] std::uint32_t crc32(const void* data, std::size_t size,
-                                  std::uint32_t seed = 0);
-
 /// Appends fixed-width little-endian fields to a growing byte buffer.
 class StateWriter {
  public:

@@ -372,7 +372,7 @@ void LoadRun::read_burst(CConn& c) {
     if (n > 0) {
       touch();
       c.decoder.feed(buf, static_cast<std::size_t>(n));
-      std::string payload;
+      std::string_view payload;
       for (;;) {
         const DecodeStatus st = c.decoder.next(payload);
         if (st == DecodeStatus::kNeedMore) break;

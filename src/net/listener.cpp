@@ -387,7 +387,7 @@ void NetListener::on_readable(Loop& loop,
 
 void NetListener::process_frames(Loop& loop,
                                  const std::shared_ptr<Connection>& conn) {
-  std::string payload;
+  std::string_view payload;
   for (;;) {
     if (conn->close_after_flush ||
         conn->closed.load(std::memory_order_relaxed))
@@ -396,7 +396,7 @@ void NetListener::process_frames(Loop& loop,
     if (st == DecodeStatus::kNeedMore) return;
     if (st == DecodeStatus::kBad) {
       const ErrCode code =
-          conn->decoder.error().find("exceeds cap") != std::string::npos
+          conn->decoder.error_code() == FrameError::kTooLarge
               ? ErrCode::kTooLarge
               : ErrCode::kBadFrame;
       send_error(loop, *conn, 0, code, conn->decoder.error());

@@ -1,7 +1,6 @@
 #include "net/protocol.h"
 
 #include <cmath>
-#include <cstring>
 
 namespace cdbp::net {
 
@@ -39,14 +38,6 @@ const char* err_name(ErrCode c) noexcept {
   return "unknown";
 }
 
-void frame_payload(const std::string& payload, std::string& out) {
-  StateWriter header;
-  header.u32(static_cast<std::uint32_t>(payload.size()));
-  header.u32(crc32(payload.data(), payload.size()));
-  out.append(header.buffer());
-  out.append(payload);
-}
-
 void encode_request(const Request& req, std::string& out) {
   StateWriter w;
   w.u8(static_cast<std::uint8_t>(req.type));
@@ -73,7 +64,7 @@ void encode_request(const Request& req, std::string& out) {
       w.u64(req.id);  // forward-compat: unknown request types carry an id
       break;
   }
-  frame_payload(w.buffer(), out);
+  append_frame(out, w.buffer());
 }
 
 void encode_response(const Response& resp, std::string& out) {
@@ -103,64 +94,7 @@ void encode_response(const Response& resp, std::string& out) {
       w.u64(resp.id);
       break;
   }
-  frame_payload(w.buffer(), out);
-}
-
-// ---------------------------------------------------------------------------
-// FrameDecoder
-
-namespace {
-
-std::uint32_t read_u32_le(const char* p) noexcept {
-  std::uint32_t v = 0;
-  for (std::size_t i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  return v;
-}
-
-}  // namespace
-
-void FrameDecoder::feed(const char* data, std::size_t n) {
-  if (poisoned_) return;
-  // Compact once the consumed prefix dominates — keeps the buffer bounded
-  // by (one frame + one read) without copying on every frame.
-  if (pos_ > 0 && pos_ >= buf_.size() / 2) {
-    buf_.erase(0, pos_);
-    pos_ = 0;
-  }
-  buf_.append(data, n);
-}
-
-DecodeStatus FrameDecoder::next(std::string& payload) {
-  if (poisoned_) return DecodeStatus::kBad;
-  const std::size_t avail = buf_.size() - pos_;
-  if (avail < kFrameHeaderBytes) return DecodeStatus::kNeedMore;
-  const char* base = buf_.data() + pos_;
-  const std::uint32_t len = read_u32_le(base);
-  if (len > kMaxFrameBytes) {
-    poisoned_ = true;
-    error_ = "frame payload " + std::to_string(len) + " bytes exceeds cap " +
-             std::to_string(kMaxFrameBytes);
-    return DecodeStatus::kBad;
-  }
-  if (len == 0) {
-    poisoned_ = true;
-    error_ = "empty frame payload";
-    return DecodeStatus::kBad;
-  }
-  if (avail < kFrameHeaderBytes + len) return DecodeStatus::kNeedMore;
-  const std::uint32_t want_crc = read_u32_le(base + 4);
-  const char* body = base + kFrameHeaderBytes;
-  const std::uint32_t got_crc = crc32(body, len);
-  if (got_crc != want_crc) {
-    poisoned_ = true;
-    error_ = "frame CRC mismatch";
-    return DecodeStatus::kBad;
-  }
-  payload.assign(body, len);
-  pos_ += kFrameHeaderBytes + len;
-  return DecodeStatus::kFrame;
+  append_frame(out, w.buffer());
 }
 
 // ---------------------------------------------------------------------------
@@ -172,7 +106,7 @@ bool finite(double v) noexcept { return std::isfinite(v); }
 
 }  // namespace
 
-std::optional<Request> parse_request(const std::string& payload,
+std::optional<Request> parse_request(std::string_view payload,
                                      std::string& why) {
   try {
     StateReader r(payload);
@@ -222,7 +156,7 @@ std::optional<Request> parse_request(const std::string& payload,
   }
 }
 
-std::optional<Response> parse_response(const std::string& payload,
+std::optional<Response> parse_response(std::string_view payload,
                                        std::string& why) {
   try {
     StateReader r(payload);

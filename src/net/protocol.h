@@ -1,8 +1,8 @@
 // CDBPNET1 — the serve plane's wire protocol.
 //
 // A connection opens with the 8-byte magic "CDBPNET1" (client → server,
-// nothing else precedes it). After the magic, both directions speak the same
-// CRC-framed envelope the WAL uses (serve/wal.h):
+// nothing else precedes it). After the magic, both directions speak the
+// core/frame.h envelope the WAL and .cdbpi use:
 //
 //     u32 payload_len | u32 crc32(payload) | payload
 //     payload := u8 type | body            (StateWriter/Reader encoding,
@@ -32,8 +32,10 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/checkpoint.h"
+#include "core/frame.h"
 
 namespace cdbp::net {
 
@@ -46,9 +48,6 @@ inline constexpr std::size_t kMagicLen = 8;
 /// small enough that a hostile length prefix cannot balloon a connection's
 /// read buffer.
 inline constexpr std::uint32_t kMaxFrameBytes = 4096;
-
-/// Frame header: payload_len + crc.
-inline constexpr std::size_t kFrameHeaderBytes = 8;
 
 // ---------------------------------------------------------------------------
 // Message types
@@ -145,51 +144,33 @@ struct Response {
 void encode_request(const Request& req, std::string& out);
 void encode_response(const Response& resp, std::string& out);
 
-/// Wraps an already-encoded payload in the length+CRC header.
-void frame_payload(const std::string& payload, std::string& out);
-
 // ---------------------------------------------------------------------------
-// Incremental decoding.
-//
-// Feed bytes as they arrive; `next()` pulls complete frames out. The decoder
-// never throws: malformed input surfaces as DecodeStatus::kBad with a
-// diagnostic, after which the stream is poisoned (the caller must close).
+// Incremental decoding: the core/frame.h decoder with the kMaxFrameBytes cap.
+// A bad frame poisons it (kBad, typed error_code()); the caller must close.
 
-enum class DecodeStatus {
-  kNeedMore,  // no complete frame buffered
-  kFrame,     // one frame decoded into the out-parameter
-  kBad,       // stream corrupt; connection must be dropped
-};
+using DecodeStatus = FrameStatus;
 
-class FrameDecoder {
+class FrameDecoder : public cdbp::FrameDecoder {
  public:
-  /// Appends raw bytes to the internal buffer.
-  void feed(const char* data, std::size_t n);
+  FrameDecoder() : cdbp::FrameDecoder(kMaxFrameBytes) {}
 
-  /// Decodes the next complete frame's payload (type byte + body) into
-  /// `payload`. Validates length bound and CRC only — message-level parsing
-  /// is parse_request/parse_response.
-  DecodeStatus next(std::string& payload);
-
-  [[nodiscard]] const std::string& error() const noexcept { return error_; }
-  /// Bytes buffered but not yet consumed (a partial trailing frame).
-  [[nodiscard]] std::size_t pending_bytes() const noexcept {
-    return buf_.size() - pos_;
+  using cdbp::FrameDecoder::next;
+  /// next() copying the payload (type byte + body) out; parse_request /
+  /// parse_response parse it.
+  DecodeStatus next(std::string& payload) {
+    std::string_view view;
+    const DecodeStatus st = next(view);
+    if (st == DecodeStatus::kFrame) payload.assign(view);
+    return st;
   }
-
- private:
-  std::string buf_;
-  std::size_t pos_ = 0;  // consumed prefix, compacted lazily
-  std::string error_;
-  bool poisoned_ = false;
 };
 
 /// Parses a decoded payload into a Request/Response. Returns nullopt (with
 /// `why` set) on any malformation: unknown type, truncated body, trailing
 /// bytes, non-finite floats.
-[[nodiscard]] std::optional<Request> parse_request(const std::string& payload,
+[[nodiscard]] std::optional<Request> parse_request(std::string_view payload,
                                                    std::string& why);
-[[nodiscard]] std::optional<Response> parse_response(const std::string& payload,
+[[nodiscard]] std::optional<Response> parse_response(std::string_view payload,
                                                      std::string& why);
 
 }  // namespace cdbp::net

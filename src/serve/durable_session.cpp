@@ -1,11 +1,10 @@
 #include "serve/durable_session.h"
 
-#include <cerrno>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
 #include "core/checkpoint.h"
+#include "core/frame.h"
 #include "obs/obs.h"
 
 namespace cdbp::serve {
@@ -14,9 +13,8 @@ namespace {
 
 /// v2: the session state carries only live items (see
 /// InteractiveSession::save_state). v1 files, which carried every item
-/// ever offered, are refused by name.
-constexpr char kCkptMagic[8] = {'C', 'D', 'B', 'P', 'C', 'K', 'P', '2'};
-constexpr char kCkptMagicV1[8] = {'C', 'D', 'B', 'P', 'C', 'K', 'P', '1'};
+/// ever offered, are refused by name (read_sealed_file).
+constexpr std::string_view kCkptMagic("CDBPCKP2", 8);
 
 obs::Counter& g_offers =
     obs::MetricsRegistry::global().counter("serve.offers");
@@ -34,70 +32,6 @@ obs::Histogram& g_ckpt_bytes =
 void note_poisoned() {
   g_poisoned.add();
   obs::Tracer::global().instant("serve.poisoned", "serve");
-}
-
-[[noreturn]] void throw_err(const std::string& what, const std::string& path,
-                            int err) {
-  throw std::runtime_error("checkpoint: " + what + " failed for '" + path +
-                           "': " + std::strerror(err));
-}
-
-/// Durably writes `magic + u64 len + u32 crc + payload` via tmp + rename,
-/// so a crash mid-checkpoint leaves the previous checkpoint intact. The
-/// rename itself is directory metadata: without the parent-dir fsync a
-/// power loss could resurface the OLD checkpoint (or none) next to a WAL
-/// already compacted past it — an unrecoverable pairing. Every step flows
-/// through `env`, making each one a scheduled fault point.
-void write_checkpoint_file(io::Env& env, const std::string& path,
-                           const std::string& payload) {
-  StateWriter header;
-  header.u64(payload.size());
-  header.u32(crc32(payload.data(), payload.size()));
-
-  const std::string tmp = path + ".tmp";
-  {
-    std::unique_ptr<io::File> f =
-        io::open_file(env, tmp, io::OpenMode::kTruncate);
-    io::write_all(*f, kCkptMagic, sizeof(kCkptMagic), tmp);
-    io::write_all(*f, header.buffer().data(), header.size(), tmp);
-    io::write_all(*f, payload.data(), payload.size(), tmp);
-    io::sync_file(*f, tmp);
-    int err = 0;
-    if (f->close(err) != 0) throw_err("close", tmp, err);
-  }
-  int err = 0;
-  if (env.rename(tmp, path, err) != 0) throw_err("rename", path, err);
-  io::sync_parent_dir(env, path);
-}
-
-/// Reads and CRC-verifies a checkpoint payload. Returns false only when
-/// the file is genuinely absent (ENOENT); any OTHER open/read failure
-/// throws. Treating "unreadable" as "absent" would silently discard the
-/// checkpoint and fall back to full replay — wrong answer on a compacted
-/// log, and a masked operational error everywhere else.
-bool read_checkpoint_file(io::Env& env, const std::string& path,
-                          std::string& payload) {
-  if (!io::read_file(env, path, payload)) return false;
-  if (payload.size() >= sizeof(kCkptMagicV1) &&
-      std::memcmp(payload.data(), kCkptMagicV1, sizeof(kCkptMagicV1)) == 0)
-    throw std::runtime_error(
-        "checkpoint: '" + path +
-        "' is in the retired CDBPCKP1 format; this build reads CDBPCKP2 "
-        "only (remove the file to replay the full WAL, if it is not "
-        "compacted)");
-  if (payload.size() < sizeof(kCkptMagic) + 12 ||
-      std::memcmp(payload.data(), kCkptMagic, sizeof(kCkptMagic)) != 0)
-    throw std::runtime_error("checkpoint: bad header in '" + path + "'");
-  StateReader r(std::string_view(payload).substr(sizeof(kCkptMagic)));
-  const std::uint64_t len = r.u64();
-  const std::uint32_t crc = r.u32();
-  if (r.remaining() != len)
-    throw std::runtime_error("checkpoint: truncated file '" + path + "'");
-  // Strip the header in place: the file is held once, not twice.
-  payload.erase(0, sizeof(kCkptMagic) + 12);
-  if (crc32(payload.data(), payload.size()) != crc)
-    throw std::runtime_error("checkpoint: CRC mismatch in '" + path + "'");
-  return true;
 }
 
 AlgorithmPtr require_algo(AlgorithmPtr algo) {
@@ -178,8 +112,8 @@ SegmentedWalScan DurableSession::recover() {
   std::uint64_t from_seq = 0;
   std::string payload;
   if (checkpointable_ &&
-      read_checkpoint_file(io::env_or_posix(config_.env),
-                           config_.checkpoint_path, payload)) {
+      read_sealed_file(io::env_or_posix(config_.env), config_.checkpoint_path,
+                       kCkptMagic, payload)) {
     StateReader r(payload);
     const std::string name = r.str();
     const std::uint64_t ckpt_seq = r.u64();
@@ -355,8 +289,10 @@ bool DurableSession::checkpoint_now() {
   checkpointable_->save_state(w);
   // A failed publish here leaves the previous checkpoint (or none) intact —
   // the WAL still covers everything, so a throw does NOT poison the session.
-  write_checkpoint_file(io::env_or_posix(config_.env),
-                        config_.checkpoint_path, w.buffer());
+  // Its dir fsync keeps a power loss from pairing the OLD checkpoint (or
+  // none) with a WAL already compacted past it.
+  write_sealed_file(io::env_or_posix(config_.env), config_.checkpoint_path,
+                    kCkptMagic, w.buffer());
   g_checkpoints.add();
   g_ckpt_bytes.record(w.size());
   obs::Tracer::global().instant(
@@ -376,7 +312,7 @@ void DurableSession::close() {
 
 CheckpointInfo read_checkpoint_info(const std::string& path, io::Env* env) {
   std::string payload;
-  if (!read_checkpoint_file(io::env_or_posix(env), path, payload))
+  if (!read_sealed_file(io::env_or_posix(env), path, kCkptMagic, payload))
     throw std::runtime_error("checkpoint: no such file '" + path + "'");
   StateReader r(payload);
   CheckpointInfo info;

@@ -8,22 +8,18 @@
 #include <utility>
 
 #include "core/checkpoint.h"
+#include "core/frame.h"
 #include "obs/obs.h"
 
 namespace cdbp::serve {
 
 namespace {
 
-constexpr char kWalMagicV1[8] = {'C', 'D', 'B', 'P', 'W', 'A', 'L', '1'};
-constexpr char kWalMagicV2[8] = {'C', 'D', 'B', 'P', 'W', 'A', 'L', '2'};
-// v2 segment header: magic + u64 base_seq + u32 crc32(base_seq bytes).
-constexpr std::size_t kSegmentHeaderBytes = 8 + 8 + 4;
+constexpr std::string_view kWalMagic("CDBPWAL3", 8);
 constexpr std::uint8_t kRecordOffer = 1;
-constexpr std::uint8_t kRecordOfferTenant = 2;
-// Fixed offer-record payload: type + seq + stream_index + 3 doubles + bin.
-// A tenant offer (type 2) appends `u64 tenant_len | tenant bytes` to it.
-constexpr std::size_t kOfferPayload = 1 + 8 + 8 + 8 + 8 + 8 + 8;
-static_assert(kSegmentHeaderBytes <= kWalReadBufferBytes);
+// Offer-record payload before the tenant bytes: type + seq + stream_index
+// + 3 doubles + bin + tenant_len.
+constexpr std::size_t kOfferPayload = 1 + 8 + 8 + 8 + 8 + 8 + 8 + 8;
 
 // Namespace-scope references: no initialization-guard load per append.
 obs::Counter& g_appends =
@@ -34,62 +30,9 @@ obs::Counter& g_unknown_frames =
 obs::Histogram& g_fsync_us =
     obs::MetricsRegistry::global().histogram("wal.fsync_us");
 
-std::uint32_t read_u32_le(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
+std::uint64_t read_u64_le(const char* p) {
+  return load_u32_le(p) | std::uint64_t{load_u32_le(p + 4)} << 32;
 }
-
-std::uint64_t read_u64_le(const unsigned char* p) {
-  return std::uint64_t{read_u32_le(p)} |
-         (std::uint64_t{read_u32_le(p + 4)} << 32);
-}
-
-/// A file's unread bytes through one fixed kWalReadBufferBytes window.
-/// fill(n) slides the unread tail to the front and reads until n bytes are
-/// available or the file ends, so a frame that straddles two reads is
-/// still validated from contiguous memory.
-class FrameBuffer {
- public:
-  FrameBuffer(io::File& file, const std::string& path)
-      : file_(file), path_(path), buf_(new unsigned char[kWalReadBufferBytes]) {}
-
-  /// True once `n` (<= kWalReadBufferBytes) unread bytes are available;
-  /// false if the file ends first. Read errors throw.
-  bool fill(std::size_t n) {
-    while (end_ - pos_ < n) {
-      if (eof_) return false;
-      if (pos_ == end_) {
-        pos_ = end_ = 0;
-      } else if (kWalReadBufferBytes - pos_ < n) {
-        std::memmove(buf_.get(), buf_.get() + pos_, end_ - pos_);
-        end_ -= pos_;
-        pos_ = 0;
-      }
-      const std::size_t got = io::read_some(
-          file_, buf_.get() + end_, kWalReadBufferBytes - end_, path_);
-      if (got == 0) eof_ = true;
-      end_ += got;
-    }
-    return true;
-  }
-
-  [[nodiscard]] const unsigned char* data() const noexcept {
-    return buf_.get() + pos_;
-  }
-  [[nodiscard]] std::size_t available() const noexcept { return end_ - pos_; }
-  void consume(std::size_t n) noexcept { pos_ += n; }
-
- private:
-  io::File& file_;
-  const std::string& path_;
-  // Left uninitialized, so pages a short file never reaches stay untouched.
-  std::unique_ptr<unsigned char[]> buf_;
-  std::size_t pos_ = 0;
-  std::size_t end_ = 0;
-  bool eof_ = false;
-};
 
 // io::sync_file (EINTR-retrying) wrapped with the fsync metrics.
 void fsync_file(io::File& f, const std::string& path) {
@@ -128,7 +71,7 @@ void fsync_parent_dir(const std::string& path, io::Env* env) {
 }
 
 WalWriter::WalWriter(std::string path, FsyncPolicy policy,
-                     std::size_t fsync_batch, bool truncate, WalFormat format,
+                     std::size_t fsync_batch, bool truncate,
                      std::uint64_t base_seq, io::Env* env)
     : path_(std::move(path)),
       policy_(policy),
@@ -145,19 +88,12 @@ WalWriter::WalWriter(std::string path, FsyncPolicy policy,
     throw std::runtime_error("wal: stat failed for '" + path_ + "'");
   bytes_ = static_cast<std::uint64_t>(size);
   if (size == 0) {
-    if (format == WalFormat::kLegacy) {
-      io::write_all(*file_, kWalMagicV1, sizeof(kWalMagicV1), path_);
-      bytes_ = sizeof(kWalMagicV1);
-    } else {
-      StateWriter seq_bytes;
-      seq_bytes.u64(base_seq);
-      StateWriter header;
-      header.u64(base_seq);
-      header.u32(crc32(seq_bytes.buffer().data(), seq_bytes.size()));
-      io::write_all(*file_, kWalMagicV2, sizeof(kWalMagicV2), path_);
-      io::write_all(*file_, header.buffer().data(), header.size(), path_);
-      bytes_ = kSegmentHeaderBytes;
-    }
+    StateWriter seq;
+    seq.u64(base_seq);
+    append_frame(frame_, seq.buffer());
+    io::write_all(*file_, kWalMagic.data(), kWalMagic.size(), path_);
+    io::write_all(*file_, frame_.data(), frame_.size(), path_);
+    bytes_ = kSegmentHeaderBytes;
     // An empty-but-created log must itself survive power loss under the
     // durable policies, or recovery after a crash-before-first-append
     // would see "missing file" where the writer saw "created".
@@ -182,24 +118,21 @@ WalWriter::~WalWriter() {
 void WalWriter::write_frame(const WalRecord& rec) {
   if (!file_) throw std::logic_error("wal: append after close");
   StateWriter payload;
-  payload.u8(rec.tenant.empty() ? kRecordOffer : kRecordOfferTenant);
+  payload.u8(kRecordOffer);
   payload.u64(rec.seq);
   payload.u64(rec.stream_index);
   payload.f64(rec.arrival);
   payload.f64(rec.departure);
   payload.f64(rec.size);
   payload.i64(rec.bin);
-  if (!rec.tenant.empty()) payload.str(rec.tenant);
-
-  StateWriter frame;
-  frame.u32(static_cast<std::uint32_t>(payload.size()));
-  frame.u32(crc32(payload.buffer().data(), payload.size()));
-  for (const char c : payload.buffer()) frame.u8(static_cast<std::uint8_t>(c));
+  payload.str(rec.tenant);
+  frame_.clear();
+  append_frame(frame_, payload.buffer());
 
   // On a hard write failure (e.g. ENOSPC after a short write) this throws
   // with part of the frame on disk — a torn tail that recovery truncates.
-  io::write_all(*file_, frame.buffer().data(), frame.size(), path_);
-  bytes_ += frame.size();
+  io::write_all(*file_, frame_.data(), frame_.size(), path_);
+  bytes_ += frame_.size();
   ++appended_;
   ++unsynced_;
   g_appends.add();
@@ -247,70 +180,48 @@ WalFileScan stream_wal(const std::string& path, const WalRecordVisitor& visit,
     out.tail_error = why;
   };
 
-  FrameBuffer in(*file, path);
-  in.fill(kSegmentHeaderBytes);  // a shorter file is judged on what it has
-  std::uint64_t pos = 0;
-  if (in.available() >= sizeof(kWalMagicV1) &&
-      std::memcmp(in.data(), kWalMagicV1, sizeof(kWalMagicV1)) == 0) {
-    pos = sizeof(kWalMagicV1);
-  } else if (in.available() >= kSegmentHeaderBytes &&
-             std::memcmp(in.data(), kWalMagicV2, sizeof(kWalMagicV2)) == 0) {
-    StateReader r(std::string_view(
-        reinterpret_cast<const char*>(in.data()) + sizeof(kWalMagicV2), 12));
-    const std::uint64_t base_seq = r.u64();
-    const std::uint32_t crc = r.u32();
-    StateWriter seq_bytes;
-    seq_bytes.u64(base_seq);
-    if (crc32(seq_bytes.buffer().data(), seq_bytes.size()) != crc) {
-      tear("corrupt segment header");
-      return out;
-    }
-    out.base_seq = base_seq;
-    pos = kSegmentHeaderBytes;
-  } else {
-    tear("missing or corrupt WAL header");
+  // Another version's header is intact, not torn: refuse before any repair.
+  const std::string magic = read_magic(*file, path);
+  refuse_other_version(magic, kWalMagic, path);
+  FrameDecoder in(kMaxFramePayload);
+  std::string_view payload;
+  const auto next = [&] { return in.next(*file, path, payload); };
+  const FrameStatus head =
+      magic == kWalMagic ? next() : FrameStatus::kNeedMore;
+  if (head != FrameStatus::kFrame || payload.size() != 8) {
+    // A header cut short (or junk) vs. a whole one that fails its CRC.
+    tear(head == FrameStatus::kNeedMore ? "missing or corrupt WAL header"
+                                        : "corrupt segment header");
     return out;
   }
-  in.consume(pos);
+  out.base_seq = read_u64_le(payload.data());
+  std::uint64_t pos = kSegmentHeaderBytes;
   out.valid_bytes = pos;
 
   std::array<std::uint64_t, 256> type_counts{};
   WalRecord rec;  // decoded in place: no allocation per frame
   for (;;) {
-    if (!in.fill(8)) {
-      if (in.available() > 0) tear("partial frame header");
+    const FrameStatus st = next();
+    if (st == FrameStatus::kNeedMore) {
+      if (in.pending_bytes() >= kFrameHeaderBytes)
+        tear("partial frame payload");
+      else if (in.pending_bytes() > 0)
+        tear("partial frame header");
       break;
     }
-    const std::uint32_t len = read_u32_le(in.data());
-    const std::uint32_t crc = read_u32_le(in.data() + 4);
-    if (len == 0 || len > kMaxFramePayload) {
-      tear("bad frame length");
-      break;
-    }
-    if (!in.fill(8 + std::size_t{len})) {
-      tear("partial frame payload");
-      break;
-    }
-    const char* payload = reinterpret_cast<const char*>(in.data() + 8);
-    if (crc32(payload, len) != crc) {
-      tear("frame CRC mismatch");
+    if (st == FrameStatus::kBad) {
+      tear(in.error_code() == FrameError::kBadCrc ? "frame CRC mismatch"
+                                                  : "bad frame length");
       break;
     }
     const auto type = static_cast<std::uint8_t>(payload[0]);
-    if (type == kRecordOffer || type == kRecordOfferTenant) {
-      // Type 1 is exactly the fixed body; type 2 appends a length-prefixed
-      // tenant that must consume the remainder of the payload exactly.
-      const bool tenanted = type == kRecordOfferTenant;
-      if (tenanted ? len < kOfferPayload + 8 : len != kOfferPayload) {
-        tear("bad offer frame length");
-        break;
-      }
-      // Body, past the envelope and type byte: u64 seq | u64 stream_index
-      // | f64 x3 | i64 bin [| u64 tenant_len | tenant], little-endian.
-      const unsigned char* body = in.data() + 8 + 1;
-      const std::uint64_t tenant_len = tenanted ? read_u64_le(body + 48) : 0;
-      if (tenanted &&
-          (tenant_len == 0 || tenant_len != len - kOfferPayload - 8)) {
+    if (type == kRecordOffer) {
+      // Body, past the type byte: u64 seq | u64 stream_index | f64 x3
+      // | i64 bin | u64 tenant_len | tenant, little-endian. The tenant
+      // must consume the remainder of the payload exactly.
+      const char* body = payload.data() + 1;
+      if (payload.size() < kOfferPayload ||
+          read_u64_le(body + 48) != payload.size() - kOfferPayload) {
         tear("bad offer frame length");
         break;
       }
@@ -322,10 +233,7 @@ WalFileScan stream_wal(const std::string& path, const WalRecordVisitor& visit,
         rec.departure = std::bit_cast<double>(read_u64_le(body + 24));
         rec.size = std::bit_cast<double>(read_u64_le(body + 32));
         rec.bin = static_cast<BinId>(read_u64_le(body + 40));
-        if (tenanted)
-          rec.tenant.assign(payload + kOfferPayload + 8, tenant_len);
-        else
-          rec.tenant.clear();
+        rec.tenant.assign(payload.substr(kOfferPayload));
         visit(rec);
       }
     } else {
@@ -338,8 +246,7 @@ WalFileScan stream_wal(const std::string& path, const WalRecordVisitor& visit,
     // Counted only once the frame is fully accepted (an offer frame with a
     // bad length is torn tail, not a frame of that type).
     ++type_counts[type];
-    in.consume(8 + std::size_t{len});
-    pos += 8 + std::uint64_t{len};
+    pos += kFrameHeaderBytes + payload.size();
     out.valid_bytes = pos;
   }
   for (unsigned type = 0; type < type_counts.size(); ++type)

@@ -3,28 +3,28 @@
 // shard's source of truth — recovery replays it (from the last checkpoint,
 // or from the beginning) to rebuild the exact session state.
 //
-// File layout (docs/SERVING.md has the full spec):
-//   header  := "CDBPWAL1"                      (legacy single-file log)
-//            | "CDBPWAL2" u64 base_seq u32 crc (segment of a segmented log,
-//                                               see wal_segment.h)
-//   frame   := u32 payload_len | u32 crc32(payload) | payload
-//   payload := u8 type | type-specific body
+// Segment layout (docs/SERVING.md has the full spec; every frame is a
+// core/frame.h frame: u32 payload_len | u32 crc32(payload) | payload):
+//   segment := "CDBPWAL3" | header frame | record frame*
+//   header frame payload := u64 base_seq   (seq of the segment's first
+//                                           record, see wal_segment.h)
+//   record frame payload := u8 type | type-specific body
 //   type 1 (offer), all little-endian, doubles as bit patterns:
 //     u64 seq | u64 stream_index | f64 arrival | f64 departure
-//     | f64 size | i64 bin
-//   type 2 (tenant offer): the type-1 body followed by
-//     u64 tenant_len | tenant bytes
-//   Writers emit type 2 whenever the record carries a tenant and type 1
-//   otherwise, so tenant-less logs stay byte-identical to the v1 format.
-//   The tenant keys resume de-duplication per (tenant, stream_index) —
-//   independent tenants sharing a shard have uncoordinated id spaces, so a
-//   shard-global high-water mark would silently skip one tenant's offers
-//   once another tenant pushed a larger id.
+//     | f64 size | i64 bin | u64 tenant_len | tenant bytes
+//   The tenant ("" for the shard-global id space) keys resume
+//   de-duplication per (tenant, stream_index) — independent tenants sharing
+//   a shard have uncoordinated id spaces, so a shard-global high-water mark
+//   would silently skip one tenant's offers once another tenant pushed a
+//   larger id.
 //
-// Frame-format v2 envelope rule: readers validate the (length, CRC)
-// envelope first and only then dispatch on the record type. A frame whose
-// CRC checks out but whose type is unknown is *skipped*, not fatal — newer
-// writers may add record kinds that an older reader replays through.
+// Readers validate the frame envelope first and only then dispatch on the
+// record type. A frame whose CRC checks out but whose type is unknown is
+// *skipped*, not fatal — newer writers may add record kinds that an older
+// reader replays through.
+//
+// Any other "CDBPWAL*" magic (CDBPWAL1 single files, CDBPWAL2 segments) is
+// refused by name: repairing it as a torn tail would destroy the file.
 //
 // Torn-write semantics: a reader accepts the longest prefix of intact
 // frames and reports everything after it (a partial frame from a crash, or
@@ -67,12 +67,6 @@ enum class FsyncPolicy { kNone, kBatch, kEvery };
 /// filesystem; a FaultInjectingEnv makes this a scheduled fault point.
 void fsync_parent_dir(const std::string& path, io::Env* env = nullptr);
 
-/// On-disk header flavor a WalWriter emits when it creates a file.
-enum class WalFormat {
-  kLegacy,   ///< "CDBPWAL1", records start at seq 0
-  kSegment,  ///< "CDBPWAL2" + u64 base_seq + u32 crc (segmented log member)
-};
-
 /// One logged placement decision.
 struct WalRecord {
   std::uint64_t seq = 0;           ///< per-shard offer sequence number
@@ -82,30 +76,30 @@ struct WalRecord {
   Load size = 0.0;
   BinId bin = kNoBin;
   /// Owner of stream_index's id space ("" = the shard-global space, e.g.
-  /// tenant-less tools driving a DurableSession directly). Serialized as a
-  /// type-2 frame when non-empty, type 1 otherwise.
+  /// tenant-less tools driving a DurableSession directly).
   std::string tenant;
 
   friend bool operator==(const WalRecord&, const WalRecord&) = default;
 };
 
-/// Append-side handle for one physical log file. Not thread-safe: each
+/// Append-side handle for one segment file. Not thread-safe: each
 /// shard's WAL is written only by that shard's worker (the group-commit
 /// committer thread only calls sync() while the owner is blocked waiting on
 /// it). Throws std::runtime_error on I/O failure.
 class WalWriter {
  public:
-  /// Opens (creating if needed) `path`. `truncate` starts a fresh log with
-  /// a new header; otherwise appends to the existing file (which must carry
-  /// a valid header — recovery truncates torn tails before reopening).
+  /// Opens (creating if needed) `path`. `truncate` starts a fresh segment
+  /// whose header carries `base_seq`; otherwise appends to the existing
+  /// file (which must carry a valid header — recovery truncates torn tails
+  /// before reopening).
   /// A newly created header is fsynced (file + parent directory) under
   /// kBatch/kEvery so an empty-but-created log survives power loss.
   /// All I/O flows through `env` (nullptr = the real filesystem), so a
   /// FaultInjectingEnv can schedule short writes, ENOSPC, and fsync faults
   /// against every byte this writer emits.
   WalWriter(std::string path, FsyncPolicy policy, std::size_t fsync_batch,
-            bool truncate, WalFormat format = WalFormat::kLegacy,
-            std::uint64_t base_seq = 0, io::Env* env = nullptr);
+            bool truncate, std::uint64_t base_seq = 0,
+            io::Env* env = nullptr);
   ~WalWriter();
 
   WalWriter(const WalWriter&) = delete;
@@ -153,21 +147,21 @@ class WalWriter {
   std::uint64_t appended_ = 0;
   std::uint64_t bytes_ = 0;
   std::uint64_t synced_bytes_ = 0;
+  std::string frame_;  ///< encode buffer, reused across appends
 };
 
 /// Envelope sanity bound: no legitimate record is this large, so a length
 /// beyond it is torn-tail garbage, not a future record type.
 inline constexpr std::uint32_t kMaxFramePayload = 1u << 20;
-/// The frame reader's fixed buffer: exactly one largest legal frame
-/// (u32 len + u32 crc + payload), so any frame is validated in place.
-inline constexpr std::size_t kWalReadBufferBytes = 8 + kMaxFramePayload;
+/// Bytes before the first record: magic + the base_seq header frame.
+inline constexpr std::size_t kSegmentHeaderBytes = 8 + 8 + 8;
 
 /// What one pass over a WAL file found, apart from the records themselves.
 struct WalFileScan {
   std::uint64_t record_count = 0;  ///< offer records in the intact prefix
   std::uint64_t first_record_seq = 0;  ///< seq of the first (if any)
   std::uint64_t valid_bytes = 0;   ///< file offset where the prefix ends
-  std::uint64_t base_seq = 0;      ///< from a v2 segment header (0 legacy)
+  std::uint64_t base_seq = 0;      ///< from the segment header
   std::uint64_t unknown_records = 0;  ///< intact frames of unknown type
   /// Intact frames by on-disk record type (offer = 1), including the
   /// unknown ones — `cdbp wal-dump` reports this per segment.
@@ -186,14 +180,13 @@ struct WalReadResult : WalFileScan {
 /// only for the call: the reader decodes every frame into one record.
 using WalRecordVisitor = std::function<void(const WalRecord&)>;
 
-/// The WAL frame reader. Streams `path` (legacy "CDBPWAL1" file or
-/// "CDBPWAL2" segment) through one kWalReadBufferBytes buffer with
-/// io::File::read — never the whole file at once — and hands each record
-/// of the longest intact frame prefix (see file comment) to `visit`, which
+/// The WAL frame reader. Streams the segment at `path` through a
+/// core/frame.h decoder in kReadBlockBytes reads and hands each record of
+/// the longest intact frame prefix (see file comment) to `visit`, which
 /// may be empty to only count. A missing file yields an empty, non-torn
-/// result; a present file with a bad header yields torn with
-/// valid_bytes = 0; the caller decides whether to truncate (recovery
-/// does). A read error throws std::runtime_error: it is not a torn tail.
+/// result; a bad or short header yields torn with valid_bytes = 0; the
+/// caller decides whether to truncate (recovery does). A read error or
+/// another "CDBPWAL*" magic throws std::runtime_error: neither is torn.
 WalFileScan stream_wal(const std::string& path, const WalRecordVisitor& visit,
                        io::Env* env = nullptr);
 

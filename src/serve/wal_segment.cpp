@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "core/checkpoint.h"
+#include "core/frame.h"
 #include "obs/obs.h"
 #include "parallel/thread_pool.h"
 
@@ -15,7 +16,7 @@ namespace cdbp::serve {
 
 namespace {
 
-constexpr char kManifestMagic[8] = {'C', 'D', 'B', 'P', 'M', 'A', 'N', '1'};
+constexpr std::string_view kManifestMagic("CDBPMAN1", 8);
 constexpr std::uint32_t kManifestVersion = 1;
 
 obs::Counter& g_rotations =
@@ -31,12 +32,6 @@ obs::Histogram& g_scan_segments =
                             int err) {
   throw std::runtime_error("wal: " + what + " failed for '" + path +
                            "': " + std::strerror(err));
-}
-
-std::string dir_of(const std::string& base) {
-  const std::size_t slash = base.find_last_of('/');
-  if (slash == std::string::npos) return ".";
-  return slash == 0 ? "/" : base.substr(0, slash);
 }
 
 std::string name_of(const std::string& base) {
@@ -74,7 +69,7 @@ std::uint64_t sweep_orphans(io::Env& e, const std::string& base,
   std::set<std::string> keep;
   for (const WalManifest::Entry& entry : listed) keep.insert(entry.file);
   std::uint64_t removed_bytes = 0;
-  const std::string dir = dir_of(base);
+  const std::string dir = io::parent_dir(base);
   const std::string prefix = name_of(base) + ".";
   for (const std::string& file : e.list_dir(dir)) {
     if (file.rfind(prefix, 0) != 0) continue;
@@ -91,33 +86,14 @@ std::uint64_t sweep_orphans(io::Env& e, const std::string& base,
   return removed_bytes;
 }
 
-WalFormat format_of_entry(const std::string& base,
-                          const WalManifest::Entry& entry) {
-  // The only non-".seg" entry a manifest can hold is an adopted legacy
-  // bare file, which carries the v1 header.
-  return entry.file == name_of(base) ? WalFormat::kLegacy
-                                     : WalFormat::kSegment;
-}
-
 }  // namespace
 
 std::optional<WalManifest> read_wal_manifest(const std::string& base,
                                              io::Env* env) {
   const std::string path = manifest_path(base);
-  std::string data;
-  if (!io::read_file(io::env_or_posix(env), path, data)) return std::nullopt;
-
-  if (data.size() < sizeof(kManifestMagic) + 12 ||
-      std::memcmp(data.data(), kManifestMagic, sizeof(kManifestMagic)) != 0)
-    throw std::runtime_error("wal: bad manifest header in '" + path + "'");
-  StateReader outer(std::string_view(data).substr(sizeof(kManifestMagic)));
-  const std::uint64_t len = outer.u64();
-  const std::uint32_t crc = outer.u32();
-  if (outer.remaining() != len)
-    throw std::runtime_error("wal: truncated manifest '" + path + "'");
-  const std::string payload = data.substr(sizeof(kManifestMagic) + 12);
-  if (crc32(payload.data(), payload.size()) != crc)
-    throw std::runtime_error("wal: manifest CRC mismatch in '" + path + "'");
+  std::string payload;
+  if (!read_sealed_file(io::env_or_posix(env), path, kManifestMagic, payload))
+    return std::nullopt;
 
   StateReader r(payload);
   if (r.u32() != kManifestVersion)
@@ -148,26 +124,8 @@ void write_wal_manifest(const std::string& base, const WalManifest& m,
     payload.str(entry.file);
     payload.u64(entry.base_seq);
   }
-  StateWriter header;
-  header.u64(payload.size());
-  header.u32(crc32(payload.buffer().data(), payload.size()));
-
-  const std::string path = manifest_path(base);
-  const std::string tmp = path + ".tmp";
-  io::Env& e = io::env_or_posix(env);
-  {
-    std::unique_ptr<io::File> f =
-        io::open_file(e, tmp, io::OpenMode::kTruncate);
-    io::write_all(*f, kManifestMagic, sizeof(kManifestMagic), tmp);
-    io::write_all(*f, header.buffer().data(), header.size(), tmp);
-    io::write_all(*f, payload.buffer().data(), payload.size(), tmp);
-    io::sync_file(*f, tmp);
-    int err = 0;
-    if (f->close(err) != 0) throw_err("close", tmp, err);
-  }
-  int err = 0;
-  if (e.rename(tmp, path, err) != 0) throw_err("rename", path, err);
-  io::sync_parent_dir(e, path);
+  write_sealed_file(io::env_or_posix(env), manifest_path(base),
+                    kManifestMagic, payload.buffer());
 }
 
 std::string wal_segment_path(const std::string& base, std::uint64_t id) {
@@ -189,22 +147,23 @@ SegmentedWalScan scan_chain(const std::string& base,
   SegmentedWalScan out;
   io::Env& e = io::env_or_posix(env);
   std::optional<WalManifest> manifest = read_wal_manifest(base, &e);
-  if (manifest) {
-    out.manifest = std::move(*manifest);
-    out.exists = true;
-  } else if (e.exists(base)) {
-    // Pre-segmentation log: adopt the bare file as the first segment.
-    out.legacy = true;
-    out.exists = true;
-    out.manifest.next_segment_id = 1;
-    out.manifest.segments.push_back({name_of(base), 0});
-  } else {
+  if (!manifest) {
+    // A bare file at the base path is a single-file log from before
+    // segments (CDBPWAL1): refused by name, and left as it is.
+    if (e.exists(base)) {
+      (void)stream_wal(base, {}, &e);
+      throw std::runtime_error("wal: '" + base +
+                               "' is a bare file with no manifest; this "
+                               "build reads segmented logs only");
+    }
     return out;
   }
+  out.manifest = std::move(*manifest);
+  out.exists = true;
   if (out.manifest.segments.empty()) return out;
   out.first_seq = out.manifest.segments.front().base_seq;
 
-  const std::string dir = dir_of(base);
+  const std::string dir = io::parent_dir(base);
   const std::size_t n = out.manifest.segments.size();
   if (collected != nullptr) collected->assign(n, {});
   const auto scan_one = [&](std::size_t i) -> WalFileScan {
@@ -296,7 +255,7 @@ SegmentedWalScan validate_segmented_wal(const std::string& base,
 void stream_segmented_wal(const std::string& base,
                           const SegmentedWalScan& scan, std::uint64_t from_seq,
                           const WalRecordVisitor& visit, io::Env* env) {
-  const std::string dir = dir_of(base);
+  const std::string dir = io::parent_dir(base);
   for (std::size_t i = 0; i < scan.segment_records.size(); ++i) {
     const WalManifest::Entry& entry = scan.manifest.segments[i];
     const std::uint64_t expected = scan.segment_records[i];
@@ -324,7 +283,7 @@ std::uint64_t repair_segmented_wal(const std::string& base,
                                    SegmentedWalScan& scan, io::Env* env) {
   io::Env& e = io::env_or_posix(env);
   std::uint64_t removed_bytes = 0;
-  const std::string dir = dir_of(base);
+  const std::string dir = io::parent_dir(base);
   if (scan.torn && scan.torn_segment != static_cast<std::size_t>(-1)) {
     const bool keep_torn =
         scan.torn_segment < scan.segment_records.size();
@@ -372,19 +331,16 @@ SegmentedWal::SegmentedWal(std::string base, Options opts, bool truncate,
     // Fresh log: durably clear every trace of the old one first, or a
     // crash mid-start could pair new segments with stale ones. Only the
     // manifest says which files those are; no record needs reading.
-    if (const std::optional<WalManifest> old = read_wal_manifest(base_, env_)) {
+    if (const std::optional<WalManifest> old = read_wal_manifest(base_, env_))
       for (const WalManifest::Entry& entry : old->segments)
         remove_file_durable(*env_, full_path(entry.file));
-    } else if (env_->exists(base_)) {
-      remove_file_durable(*env_, full_path(name_of(base_)));  // legacy log
-    }
     sweep_orphans(*env_, base_, {});
     remove_file_durable(*env_, manifest_path(base_));
     manifest_.next_segment_id = 1;
     const std::uint64_t id = manifest_.next_segment_id++;
     manifest_.segments.push_back(
         {name_of(wal_segment_path(base_, id)), 0});
-    open_active(0, /*create=*/true, WalFormat::kSegment);
+    open_active(0, /*create=*/true);
     write_wal_manifest(base_, manifest_, env_);
     return;
   }
@@ -400,18 +356,14 @@ SegmentedWal::SegmentedWal(std::string base, Options opts, bool truncate,
     const std::uint64_t id = manifest_.next_segment_id++;
     manifest_.segments.push_back(
         {name_of(wal_segment_path(base_, id)), 0});
-    open_active(0, /*create=*/true, WalFormat::kSegment);
+    open_active(0, /*create=*/true);
     write_wal_manifest(base_, manifest_, env_);
     return;
   }
-  const WalManifest::Entry& last = manifest_.segments.back();
-  open_active(last.base_seq, /*create=*/false, format_of_entry(base_, last));
+  open_active(manifest_.segments.back().base_seq, /*create=*/false);
   records_in_active_ = scan->segment_records.empty()
                            ? 0
                            : scan->segment_records.back();
-  // Legacy adoption: give the bare file a manifest so rotation and
-  // compaction have somewhere to live.
-  if (scan->legacy) write_wal_manifest(base_, manifest_, env_);
 }
 
 SegmentedWal::~SegmentedWal() {
@@ -424,14 +376,13 @@ SegmentedWal::~SegmentedWal() {
 }
 
 std::string SegmentedWal::full_path(const std::string& file) const {
-  return dir_of(base_) + "/" + file;
+  return io::parent_dir(base_) + "/" + file;
 }
 
-void SegmentedWal::open_active(std::uint64_t base_seq, bool create,
-                               WalFormat format) {
+void SegmentedWal::open_active(std::uint64_t base_seq, bool create) {
   writer_ = std::make_unique<WalWriter>(
       full_path(manifest_.segments.back().file), opts_.policy,
-      opts_.fsync_batch, /*truncate=*/create, format, base_seq, env_);
+      opts_.fsync_batch, /*truncate=*/create, base_seq, env_);
   records_in_active_ = 0;
 }
 
@@ -447,7 +398,7 @@ void SegmentedWal::maybe_rotate(std::uint64_t next_seq) {
   const std::uint64_t id = manifest_.next_segment_id++;
   manifest_.segments.push_back(
       {name_of(wal_segment_path(base_, id)), next_seq});
-  open_active(next_seq, /*create=*/true, WalFormat::kSegment);
+  open_active(next_seq, /*create=*/true);
   write_wal_manifest(base_, manifest_, env_);
   ++rotations_;
   g_rotations.add();

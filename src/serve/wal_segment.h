@@ -1,12 +1,13 @@
 // Segmented WAL: the shard log as an ordered chain of bounded segment
 // files plus a tiny CRC'd manifest, instead of one unbounded file.
 //
-//   <base>.manifest             CDBPMAN1 | u64 len | u32 crc | payload
+//   <base>.manifest             CDBPMAN1 sealed file (core/frame.h)
 //       payload := u32 version | u64 next_segment_id | u64 count
 //                | count x (str filename | u64 base_seq)
-//   <base>.000001.seg ...       "CDBPWAL2" segment files (wal.h frames)
-//   <base>                      a bare legacy "CDBPWAL1" file is adopted
-//                               as the first segment on open
+//   <base>.000001.seg ...       "CDBPWAL3" segment files (wal.h frames)
+//
+// A bare file at <base> (a CDBPWAL1 single-file log) is refused, never
+// adopted or deleted.
 //
 // Why segments: (1) checkpoint-anchored *compaction* — segments whose
 // every record is covered by the latest checkpoint are deleted, so the log
@@ -74,9 +75,8 @@ void write_wal_manifest(const std::string& base, const WalManifest& m,
 
 /// Result of scanning a whole segmented log.
 struct SegmentedWalScan {
-  bool exists = false;  ///< a manifest or a legacy bare file was present
-  bool legacy = false;  ///< no manifest: the bare `base` file was adopted
-  WalManifest manifest;            ///< effective (synthesized when legacy)
+  bool exists = false;  ///< a manifest was present
+  WalManifest manifest;
   /// Global intact prefix, in seq order — filled by scan_segmented_wal
   /// only; validate_segmented_wal leaves it empty and just counts.
   std::vector<WalRecord> records;
@@ -154,13 +154,11 @@ class SegmentedWal final : public WalSyncable {
   };
 
   /// truncate=true starts a fresh log: every segment the old manifest
-  /// lists (or the bare legacy file), orphan `.seg` files, and the
-  /// manifest for `base` are removed — reading only the manifest, never a
-  /// record — and segment 1 is created.
+  /// lists, orphan `.seg` files, and the manifest for `base` are removed —
+  /// reading only the manifest, never a record — and segment 1 is created.
   /// truncate=false resumes: `scan` should be the (repaired) scan the
   /// caller replayed from — pass nullptr to let the writer validate +
-  /// repair itself. A bare legacy log is adopted (manifest written, appends
-  /// continue into the legacy file until rotation).
+  /// repair itself.
   SegmentedWal(std::string base, Options opts, bool truncate,
                const SegmentedWalScan* scan = nullptr);
   ~SegmentedWal() override;
@@ -213,7 +211,7 @@ class SegmentedWal final : public WalSyncable {
   synced_watermarks() const;
 
  private:
-  void open_active(std::uint64_t base_seq, bool create, WalFormat format);
+  void open_active(std::uint64_t base_seq, bool create);
   void maybe_rotate(std::uint64_t next_seq);
   [[nodiscard]] std::string full_path(const std::string& file) const;
 

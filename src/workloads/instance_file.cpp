@@ -1,11 +1,11 @@
 #include "workloads/instance_file.h"
 
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 
 #include "core/checkpoint.h"
+#include "core/frame.h"
 #include "core/time_types.h"
 
 namespace cdbp::workloads {
@@ -37,13 +37,9 @@ void check_item(Time arrival, Time departure, Load size) {
 }
 
 void write_frame(std::ofstream& out, const StateWriter& payload) {
-  StateWriter head;
-  head.u32(static_cast<std::uint32_t>(payload.size()));
-  head.u32(crc32(payload.buffer().data(), payload.size()));
-  out.write(head.buffer().data(),
-            static_cast<std::streamsize>(head.size()));
-  out.write(payload.buffer().data(),
-            static_cast<std::streamsize>(payload.size()));
+  std::string frame;
+  append_frame(frame, payload.buffer());
+  out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
 }
 
 StateWriter header_payload(std::uint64_t item_count,
@@ -125,28 +121,17 @@ void InstanceFileWriter::close() {
 // --- Reader ----------------------------------------------------------------
 
 InstanceFileReader::InstanceFileReader(const std::string& path)
-    : in_(path, std::ios::binary), path_(path), last_arrival_(-kInfTime) {
-  if (!in_) fail(path_, "cannot open");
-  char magic[sizeof(kInstanceFileMagic)];
-  in_.read(magic, sizeof(magic));
-  if (in_.gcount() != static_cast<std::streamsize>(sizeof(magic)) ||
-      std::memcmp(magic, kInstanceFileMagic, sizeof(magic)) != 0)
+    : path_(path),
+      file_(io::open_existing(io::Env::posix(), path)),
+      frames_(static_cast<std::uint32_t>(kMaxFramePayload)),
+      last_arrival_(-kInfTime) {
+  if (!file_) fail(path_, "cannot open");
+  if (read_magic(*file_, path_) !=
+      std::string_view(kInstanceFileMagic, sizeof(kInstanceFileMagic)))
     fail(path_, "bad magic");
-
-  char head[8];
-  in_.read(head, sizeof(head));
-  if (in_.gcount() != static_cast<std::streamsize>(sizeof(head)))
-    fail(path_, "truncated header");
-  StateReader hr(std::string_view(head, sizeof(head)));
-  const std::uint32_t len = hr.u32();
-  const std::uint32_t crc = hr.u32();
-  if (len != kHeaderPayloadBytes) fail(path_, "bad header size");
-  char payload[kHeaderPayloadBytes];
-  in_.read(payload, sizeof(payload));
-  if (in_.gcount() != static_cast<std::streamsize>(sizeof(payload)))
-    fail(path_, "truncated header");
-  if (crc32(payload, sizeof(payload)) != crc) fail(path_, "header CRC mismatch");
-  StateReader pr(std::string_view(payload, sizeof(payload)));
+  const std::string_view payload = next_frame("header");
+  if (payload.size() != kHeaderPayloadBytes) fail(path_, "bad header size");
+  StateReader pr(payload);
   const std::uint32_t version = pr.u32();
   if (version != kInstanceFileVersion) fail(path_, "unsupported version");
   (void)pr.u32();  // reserved
@@ -158,11 +143,22 @@ InstanceFileReader::InstanceFileReader(const std::string& path)
   chunk_items_ = static_cast<std::size_t>(chunk_items);
 }
 
+std::string_view InstanceFileReader::next_frame(const char* what) {
+  std::string_view payload;
+  const FrameStatus st = frames_.next(*file_, path_, payload);
+  if (st == FrameStatus::kNeedMore)
+    fail(path_, std::string("truncated ") + what);
+  if (st == FrameStatus::kBad) fail(path_, what + (": " + frames_.error()));
+  return payload;
+}
+
 bool InstanceFileReader::next(Item& out) {
   if (chunk_pos_ == chunk_.size()) {
     if (yielded_ == item_count_) {
       // Exactly the declared items were read; anything further is junk.
-      if (in_.peek() != std::ifstream::traits_type::eof())
+      std::string_view junk;
+      if (frames_.next(*file_, path_, junk) != FrameStatus::kNeedMore ||
+          frames_.pending_bytes() > 0)
         fail(path_, "trailing data after last chunk");
       return false;
     }
@@ -174,22 +170,10 @@ bool InstanceFileReader::next(Item& out) {
 }
 
 void InstanceFileReader::load_next_chunk() {
-  char head[8];
-  in_.read(head, sizeof(head));
-  if (in_.gcount() != static_cast<std::streamsize>(sizeof(head)))
-    fail(path_, "truncated chunk");
-  StateReader hr(std::string_view(head, sizeof(head)));
-  const std::uint32_t len = hr.u32();
-  const std::uint32_t crc = hr.u32();
-  if (len < kChunkPayloadOverhead + kBytesPerItem || len > kMaxFramePayload)
+  const std::string_view payload = next_frame("chunk");
+  const std::size_t len = payload.size();
+  if (len < kChunkPayloadOverhead + kBytesPerItem)
     fail(path_, "bad chunk size");
-  std::string payload(len, '\0');
-  in_.read(payload.data(), static_cast<std::streamsize>(len));
-  if (in_.gcount() != static_cast<std::streamsize>(len))
-    fail(path_, "truncated chunk");
-  if (crc32(payload.data(), payload.size()) != crc)
-    fail(path_, "chunk CRC mismatch");
-
   StateReader pr(payload);
   const std::uint64_t first_id = pr.u64();
   const std::uint32_t count = pr.u32();

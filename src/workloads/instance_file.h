@@ -7,15 +7,14 @@
 // CRC-checked chunks so the simulator can stream a run while holding only
 // one chunk in memory.
 //
-// Layout (all integers little-endian, no alignment padding):
+// Layout (all integers little-endian, no alignment padding; frames are
+// core/frame.h frames, u32 len | u32 crc32(payload) | payload):
 //
 //   magic           8 bytes  "CDBPINS1"
-//   header frame    u32 len | u32 crc32(payload) | payload
-//     payload:      u32 version(=1), u32 reserved(=0),
-//                   u64 item_count, u64 chunk_items
-//   chunk frame*    u32 len | u32 crc32(payload) | payload
-//     payload:      u64 first_id, u32 count,
-//                   count x (f64 arrival, f64 departure, f64 size)
+//   header frame    payload: u32 version(=1), u32 reserved(=0),
+//                            u64 item_count, u64 chunk_items
+//   chunk frame*    payload: u64 first_id, u32 count,
+//                            count x (f64 arrival, f64 departure, f64 size)
 //
 // Item ids are implicit and dense: a chunk carries ids first_id ..
 // first_id + count - 1, chunks appear in id order, and id order is the
@@ -30,9 +29,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/frame.h"
 #include "core/instance.h"
 #include "core/item_source.h"
 
@@ -83,9 +85,9 @@ class InstanceFileWriter {
 };
 
 /// Streaming reader: an ItemSource over a .cdbpi file that keeps one chunk
-/// resident. Construction reads and verifies the header; next() verifies
-/// each chunk as it is pulled. All format violations throw
-/// std::runtime_error with a "cdbpi:"-prefixed message.
+/// resident (plus one read block). Construction reads and verifies the
+/// header; next() verifies each chunk as it is pulled. All format
+/// violations throw std::runtime_error with a "cdbpi:"-prefixed message.
 class InstanceFileReader final : public ItemSource {
  public:
   explicit InstanceFileReader(const std::string& path);
@@ -98,9 +100,13 @@ class InstanceFileReader final : public ItemSource {
 
  private:
   void load_next_chunk();
+  /// The next frame's payload (valid until the next call); throws
+  /// "truncated <what>" when the file ends first.
+  std::string_view next_frame(const char* what);
 
-  std::ifstream in_;
   std::string path_;
+  std::unique_ptr<io::File> file_;
+  FrameDecoder frames_;
   std::size_t item_count_ = 0;
   std::size_t chunk_items_ = 0;
   std::vector<Item> chunk_;

@@ -386,9 +386,10 @@ TEST(Cli, ServeRecoverWalDumpPipeline) {
             0u);
   EXPECT_NE(dump.out.find("# records="), std::string::npos);
   EXPECT_EQ(dump.out.find("# torn tail"), std::string::npos);
-  // Frame-type census: the stream is multi-tenant, so this shard holds
-  // tenant-offer (type2) frames, and a clean WAL skips nothing.
-  EXPECT_NE(dump.out.find("# frames type2="), std::string::npos);
+  // Frame-type census: every record, tenant or not, is a type-1 offer
+  // frame, and a clean WAL skips nothing.
+  EXPECT_NE(dump.out.find("# frames type1="), std::string::npos);
+  EXPECT_EQ(dump.out.find("type2"), std::string::npos);
   EXPECT_NE(dump.out.find("skipped_unknown=0"), std::string::npos);
 
   EXPECT_EQ(cli({"wal-dump", "--wal", "/no/such.wal"}).code, 1);

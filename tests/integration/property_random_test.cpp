@@ -1,6 +1,7 @@
 // Cross-module property suite: every online algorithm, on every workload
 // shape, across seeds, must produce a valid packing whose cost dominates
 // the certified OPT bounds — and on tiny instances, the exact OPT.
+#include <ostream>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -24,6 +25,12 @@ struct PropertyCase {
   std::string workload;
   std::uint64_t seed;
 };
+
+// Names the case in ctest and gtest output as `workload/seed`; without a
+// printer gtest dumps the struct's raw bytes, a heap pointer among them.
+void PrintTo(const PropertyCase& pc, std::ostream* os) {
+  *os << pc.workload << '/' << pc.seed;
+}
 
 std::string case_name(const ::testing::TestParamInfo<PropertyCase>& info) {
   return info.param.workload + "_seed" + std::to_string(info.param.seed);

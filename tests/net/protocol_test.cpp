@@ -166,6 +166,7 @@ TEST(NetProtocol, OversizeLengthPrefixIsRejectedNotBuffered) {
   dec.feed(wire.data(), wire.size());
   std::string payload;
   EXPECT_EQ(dec.next(payload), DecodeStatus::kBad);
+  EXPECT_EQ(dec.error_code(), FrameError::kTooLarge);
   EXPECT_NE(dec.error().find("exceeds cap"), std::string::npos);
 }
 
@@ -205,7 +206,7 @@ TEST(NetProtocol, ByteAtATimeFeedRecoversEveryFrame) {
 
 TEST(NetProtocol, EmptyPayloadFrameIsRejectedAtTheFramingLayer) {
   std::string wire;
-  frame_payload("", wire);
+  append_frame(wire, "");
   FrameDecoder dec;
   dec.feed(wire.data(), wire.size());
   std::string payload;

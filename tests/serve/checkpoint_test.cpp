@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/frame.h"
 #include "core/session.h"
 #include "test_util.h"
 #include "workloads/aligned_random.h"

@@ -136,6 +136,10 @@ void check_crash_recovery(const std::string& algo_name,
 
 constexpr std::uint64_t kSeeds = 8;
 constexpr std::uint64_t kCkptEvery = 7;
+// Rotation after the 5th tenant-less record (24-byte segment header,
+// 65-byte frames), so segments hold seqs [0,5), [5,10), ...
+constexpr std::uint64_t kFiveRecordSegmentBytes =
+    kSegmentHeaderBytes + 4 * (8 + 57) + 16;
 
 TEST_F(RecoveryTest, BitIdenticalOnGeneralInputs) {
   for (const char* algo : {"ff", "bf", "wf", "cbd", "ha"}) {
@@ -203,8 +207,9 @@ TEST_F(RecoveryTest, CheckpointAheadOfTruncatedWalIsIgnored) {
   const std::string seg = wal_segment_path(cfg.wal_path, 1);
   const WalReadResult wal = read_wal(seg);
   ASSERT_EQ(wal.records.size(), 6u);
-  const std::uint64_t header = wal.valid_bytes - 57 * 6;
-  truncate_wal(seg, header + 4 * 57);
+  const std::uint64_t frame = 8 + 57;  // a tenant-less offer frame
+  ASSERT_EQ(wal.valid_bytes, kSegmentHeaderBytes + 6 * frame);
+  truncate_wal(seg, kSegmentHeaderBytes + 4 * frame);
 
   DurableSession rec(cli::make_algorithm("ff"), "ff",
                      config("ahead", true, 2));
@@ -306,9 +311,9 @@ TEST_F(RecoveryTest, SegmentedLogRecoversBitIdenticallyAcrossCuts) {
         instance.size() - 1}) {
     const std::string tag = "seg" + std::to_string(cut);
     auto crash_cfg = config(tag, false, kCkptEvery);
-    // ~4 records per segment: the sweep crosses many rotation (and, with
+    // 5 records per segment: the sweep crosses many rotation (and, with
     // checkpoints every 7, compaction) boundaries.
-    crash_cfg.wal_segment_bytes = 256;
+    crash_cfg.wal_segment_bytes = kFiveRecordSegmentBytes;
     {
       DurableSession crash(cli::make_algorithm("bf"), "bf", crash_cfg);
       for (std::size_t i = 0; i < cut; ++i) {
@@ -321,7 +326,7 @@ TEST_F(RecoveryTest, SegmentedLogRecoversBitIdenticallyAcrossCuts) {
       }
     }
     auto resume_cfg = config(tag, true, kCkptEvery);
-    resume_cfg.wal_segment_bytes = 256;
+    resume_cfg.wal_segment_bytes = kFiveRecordSegmentBytes;
     DurableSession rec(cli::make_algorithm("bf"), "bf", resume_cfg);
     EXPECT_EQ(rec.seq(), cut);
     if (cut > 8) {
@@ -368,7 +373,7 @@ TEST_F(RecoveryTest, CompactedWalWithoutCheckpointRefusesRecovery) {
 TEST_F(RecoveryTest, MidCompactionOrphanSegmentIsRemovedOnRecovery) {
   const Instance instance = general_instance(11);
   auto cfg = config("orphan", false, 0);
-  cfg.wal_segment_bytes = 256;
+  cfg.wal_segment_bytes = kFiveRecordSegmentBytes;
   Cost ref_cost = 0.0;
   {
     DurableSession s(cli::make_algorithm("ff"), "ff", cfg);
@@ -397,7 +402,7 @@ TEST_F(RecoveryTest, MidCompactionOrphanSegmentIsRemovedOnRecovery) {
   ASSERT_TRUE(fs::exists(orphan));
 
   auto resume_cfg = config("orphan", true, 5);
-  resume_cfg.wal_segment_bytes = 256;
+  resume_cfg.wal_segment_bytes = kFiveRecordSegmentBytes;
   DurableSession rec(cli::make_algorithm("ff"), "ff", resume_cfg);
   EXPECT_FALSE(fs::exists(orphan)) << "orphan segment must be swept";
   EXPECT_TRUE(rec.recovery().used_checkpoint);

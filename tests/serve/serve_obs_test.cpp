@@ -66,8 +66,10 @@ TEST_F(ServeObsTest, TenantHistogramTableIsBounded) {
   EXPECT_EQ(&metrics.tenant_ack("tenant0"), &metrics.tenant_ack("tenant0"));
   EXPECT_NE(&metrics.tenant_ack("tenant0"), &metrics.tenant_ack("tenant9"));
 
+  // find_histogram points into the snapshot it is given: keep it alive.
+  const obs::MetricsSnapshot snap = registry.snapshot();
   const obs::HistogramSnapshot* other =
-      obs::find_histogram(registry.snapshot(), "serve.tenant_ack_us.other");
+      obs::find_histogram(snap, "serve.tenant_ack_us.other");
   ASSERT_NE(other, nullptr);
   EXPECT_EQ(other->count, 6u);  // tenants 4..9 overflowed
 }

@@ -24,6 +24,7 @@
 
 #include "cli/cli.h"
 #include "core/checkpoint.h"
+#include "core/frame.h"
 #include "parallel/thread_pool.h"
 #include "workloads/general_random.h"
 
@@ -32,8 +33,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr std::uint64_t kSegmentHeaderBytes = 20;
-constexpr std::uint64_t kOfferFrameBytes = 57;  // tenant-less offer frame
+constexpr std::uint64_t kOfferFrameBytes = 65;  // tenant-less offer frame
 
 /// Everything one recovery path produced.
 struct Outcome {
@@ -70,10 +70,9 @@ void insert_bytes(const fs::path& file, std::uint64_t at,
 std::string raw_frame(std::uint8_t type, std::size_t payload_len) {
   std::string payload(payload_len, '\x33');
   payload[0] = static_cast<char>(type);
-  StateWriter head;
-  head.u32(static_cast<std::uint32_t>(payload.size()));
-  head.u32(crc32(payload.data(), payload.size()));
-  return head.buffer() + payload;
+  std::string frame;
+  append_frame(frame, payload);
+  return frame;
 }
 
 /// File offsets of every frame boundary of an intact segment file.
@@ -396,7 +395,9 @@ TEST_F(StreamedRecoveryTest, CompactedLogWithoutCheckpointIsRefused) {
   EXPECT_NE(want.error.find("compacted"), std::string::npos) << want.error;
 }
 
-TEST_F(StreamedRecoveryTest, LegacySingleFileLog) {
+// A bare CDBPWAL1 file at the log's base path — a single-file log from
+// before segments — is refused by name, and recovery leaves it as it was.
+TEST_F(StreamedRecoveryTest, BareV1FileIsRefused) {
   tenants_ = false;
   build(30);
   const std::vector<WalRecord> records =
@@ -405,19 +406,27 @@ TEST_F(StreamedRecoveryTest, LegacySingleFileLog) {
   fs::remove_all(work_);
   fs::create_directories(work_);
   {
-    WalWriter w(config(true).wal_path, FsyncPolicy::kNone, 1,
-                /*truncate=*/true, WalFormat::kLegacy);
-    for (const WalRecord& rec : records) w.append(rec);
+    // The v1 layout: magic, then 49-byte offer payloads without a tenant.
+    std::string file = "CDBPWAL1";
+    for (const WalRecord& rec : records) {
+      StateWriter w;
+      w.u8(1);
+      w.u64(rec.seq);
+      w.u64(rec.stream_index);
+      w.f64(rec.arrival);
+      w.f64(rec.departure);
+      w.f64(rec.size);
+      w.i64(rec.bin);
+      append_frame(file, w.buffer());
+    }
+    std::ofstream(config(true).wal_path, std::ios::binary) << file;
   }
   keep_pristine();
-  const Outcome whole = expect_agree("legacy log");
-  EXPECT_EQ(whole.report.replayed, 30u);
-  const Outcome torn = expect_agree("torn legacy log", [&] {
-    fs::resize_file(config(true).wal_path,
-                    8 + 27 * kOfferFrameBytes + 11);
-  });
-  EXPECT_TRUE(torn.report.torn);
-  EXPECT_EQ(torn.report.replayed, 27u);
+  restore();
+  const std::map<std::string, std::string> before = snapshot(work_);
+  const Outcome got = streamed();
+  EXPECT_NE(got.error.find("CDBPWAL1"), std::string::npos) << got.error;
+  EXPECT_TRUE(got.files == before) << "recovery modified the log";
 }
 
 TEST_F(StreamedRecoveryTest, UnknownFrameTypesAreSkipped) {
@@ -444,21 +453,20 @@ TEST_F(StreamedRecoveryTest, MaxPayloadFrameMidSegment) {
   EXPECT_FALSE(want.report.torn);
 }
 
-// Segments larger than the reader's buffer: frames straddle its edge, and
-// with two such segments pass 1 validates them in parallel.
+// Segments many read blocks long: frames straddle block edges, and with
+// two such segments pass 1 validates them in parallel.
 class StreamedRecoveryLargeTest : public StreamedRecoveryTest {
  protected:
   void SetUp() override {
     StreamedRecoveryTest::SetUp();
     algo_ = "ff";
     tenants_ = false;
-    segment_bytes_ = 3u << 19;  // 1.5 MiB
-    // 57-byte frames cannot tile the buffer, so some frame straddles it.
-    ASSERT_NE((kWalReadBufferBytes - kSegmentHeaderBytes) % kOfferFrameBytes,
-              0u);
+    segment_bytes_ = 2u << 20;  // 2 MiB
+    // 65-byte frames cannot tile a block, so frames straddle block edges.
+    ASSERT_NE(kReadBlockBytes % kOfferFrameBytes, 0u);
     build(50000, 51000);
     ASSERT_EQ(segment_count(), 2u);
-    ASSERT_GT(fs::file_size(segment(1)), kWalReadBufferBytes);
+    ASSERT_GT(fs::file_size(segment(1)), 16 * kReadBlockBytes);
   }
 };
 
@@ -484,8 +492,9 @@ TEST_F(StreamedRecoveryLargeTest, ReadErrorMidSegmentThrowsAndTouchesNothing) {
   restore();
   const std::map<std::string, std::string> before = snapshot(work_);
   io::FaultInjectingEnv env;
-  // Read 0 fills the first buffer; read 1 lands in the middle of the file.
-  env.add_rule({io::kOpRead, segment(1).filename().string(), 1,
+  // Read 0 takes the magic, read 1 the first block; read 2 lands in the
+  // middle of the file.
+  env.add_rule({io::kOpRead, segment(1).filename().string(), 2,
                 io::FaultKind::kEio, 0});
   const Outcome got = streamed(&env);
   EXPECT_EQ(env.faults_injected(), 1u);

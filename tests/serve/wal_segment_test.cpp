@@ -1,11 +1,13 @@
 // Segment-chain semantics: rotation, manifest consistency, the global
 // intact-prefix rule under tears in NON-final segments, checkpoint-anchored
-// compaction, orphan sweeps, and legacy single-file adoption.
+// compaction, orphan sweeps, and the refusal of other segment formats.
 #include "serve/wal_segment.h"
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
@@ -19,7 +21,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr std::uint64_t kFrameBytes = 57;  // 8 envelope + 49 offer payload
+constexpr std::uint64_t kFrameBytes = 65;  // 8 envelope + 57 offer payload
 
 class WalSegmentTest : public ::testing::Test {
  protected:
@@ -65,7 +67,7 @@ std::vector<WalRecord> sample_records(std::size_t n, std::uint64_t seed) {
 SegmentedWal::Options tiny_segments() {
   SegmentedWal::Options opts;
   opts.policy = FsyncPolicy::kNone;
-  opts.segment_bytes = 20 + 4 * kFrameBytes;
+  opts.segment_bytes = kSegmentHeaderBytes + 4 * kFrameBytes;
   return opts;
 }
 
@@ -122,7 +124,6 @@ TEST_F(WalSegmentTest, RotationChainsSegmentsAndScanReassembles) {
   }
   const SegmentedWalScan scan = scan_segmented_wal(b);
   EXPECT_TRUE(scan.exists);
-  EXPECT_FALSE(scan.legacy);
   EXPECT_FALSE(scan.torn) << scan.tail_error;
   EXPECT_GT(scan.segments_scanned, 3u);
   expect_same_records(scan.records, records, "scan");
@@ -264,31 +265,61 @@ TEST_F(WalSegmentTest, CompactionDeletesOnlyCoveredSealedSegments) {
   EXPECT_EQ(scan.records.back(), records.back());
 }
 
-TEST_F(WalSegmentTest, LegacyBareFileIsAdoptedAndRotatesOut) {
-  const std::string b = base("leg.wal");
-  const std::vector<WalRecord> records = sample_records(11, 9);
-  {
-    // A pre-segmentation log: bare "CDBPWAL1" file at the base path.
-    WalWriter w(b, FsyncPolicy::kNone, 1, /*truncate=*/true);
-    for (std::size_t i = 0; i < 5; ++i) w.append(records[i]);
-    w.close();
+/// Every file in `dir`, by name, with its bytes.
+std::map<std::string, std::string> dir_bytes(const fs::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& de : fs::directory_iterator(dir)) {
+    std::ifstream in(de.path(), std::ios::binary);
+    files[de.path().filename().string()] =
+        std::string(std::istreambuf_iterator<char>(in), {});
   }
-  ASSERT_FALSE(read_wal_manifest(b).has_value());
+  return files;
+}
 
-  const SegmentedWalScan scan = scan_segmented_wal(b);
-  EXPECT_TRUE(scan.legacy);
-  EXPECT_EQ(scan.records.size(), 5u);
-
+/// Writes a 5-segment chain, stamps `magic` over segment `victim`'s first
+/// 8 bytes, and requires every reader to refuse the log by that name
+/// without touching a byte of it. An intact header of another format is
+/// not a torn tail: repairing it as one would delete the segment and every
+/// later one.
+void expect_magic_refused(const std::string& b, std::size_t victim,
+                          const std::string& magic) {
   {
-    SegmentedWal wal(b, tiny_segments(), /*truncate=*/false);
-    for (std::size_t i = 5; i < records.size(); ++i) wal.append(records[i]);
-    EXPECT_GT(wal.rotations(), 0u);  // appends rotated out of the bare file
+    SegmentedWal wal(b, tiny_segments(), /*truncate=*/true);
+    for (const WalRecord& rec : sample_records(19, 15)) wal.append(rec);
     wal.close();
   }
-  const auto manifest = read_wal_manifest(b);
-  ASSERT_TRUE(manifest.has_value());
-  EXPECT_EQ(manifest->segments.front().file, "leg.wal");
-  expect_same_records(scan_segmented_wal(b).records, records, "adopted");
+  const WalManifest m = *read_wal_manifest(b);
+  ASSERT_EQ(m.segments.size(), 5u);
+  const fs::path dir = fs::path(b).parent_path();
+  {
+    std::fstream f(dir / m.segments[victim].file,
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.write(magic.data(), 8);
+  }
+  const std::map<std::string, std::string> before = dir_bytes(dir);
+  const auto expect_refusal = [&](const char* who, const auto& read) {
+    try {
+      read();
+      ADD_FAILURE() << who << " accepted a " << magic << " segment";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(magic), std::string::npos)
+          << who << ": " << e.what();
+    }
+    EXPECT_TRUE(dir_bytes(dir) == before) << who << " modified the log";
+  };
+  expect_refusal("validate", [&] { (void)validate_segmented_wal(b); });
+  expect_refusal("scan", [&] { (void)scan_segmented_wal(b); });
+  expect_refusal("resume", [&] {
+    SegmentedWal wal(b, tiny_segments(), /*truncate=*/false);
+  });
+}
+
+TEST_F(WalSegmentTest, RetiredMagicInFirstSegmentIsRefused) {
+  expect_magic_refused(base("first.wal"), 0, "CDBPWAL2");
+}
+
+TEST_F(WalSegmentTest, UnknownMagicInMiddleSegmentIsRefused) {
+  expect_magic_refused(base("middle.wal"), 2, "CDBPWAL9");
 }
 
 TEST_F(WalSegmentTest, FreshTruncateClearsEveryTraceOfTheOldChain) {

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
@@ -10,11 +11,14 @@
 #include <gtest/gtest.h>
 
 #include "core/checkpoint.h"
+#include "core/frame.h"
 
 namespace cdbp::serve {
 namespace {
 
 namespace fs = std::filesystem;
+
+constexpr std::uint64_t kOfferFrameBytes = 8 + 57;  // tenant-less offer
 
 class WalTest : public ::testing::Test {
  protected:
@@ -108,8 +112,8 @@ TEST_F(WalTest, TornWriteAtEveryByteOffsetOfLastFrame) {
   const WalReadResult whole = read_wal(file);
   ASSERT_FALSE(whole.torn);
   ASSERT_EQ(whole.records.size(), records.size());
-  const std::uint64_t frame_bytes = (full - 8) / records.size();
-  const std::uint64_t last_start = full - frame_bytes;
+  ASSERT_EQ(full, kSegmentHeaderBytes + records.size() * kOfferFrameBytes);
+  const std::uint64_t last_start = full - kOfferFrameBytes;
 
   for (std::uint64_t cut = last_start; cut < full; ++cut) {
     const std::string torn_file = path("torn.wal");
@@ -148,9 +152,9 @@ TEST_F(WalTest, PayloadCorruptionStopsAtBadFrame) {
   write_records(file, records);
 
   // Flip one byte inside record 2's payload (frames are fixed-size).
-  const std::uint64_t frame_bytes = (fs::file_size(file) - 8) / 5;
   std::fstream f(file, std::ios::in | std::ios::out | std::ios::binary);
-  f.seekp(static_cast<std::streamoff>(8 + 2 * frame_bytes + 8 + 3));
+  f.seekp(static_cast<std::streamoff>(kSegmentHeaderBytes +
+                                      2 * kOfferFrameBytes + 8 + 3));
   f.put('\xFF');
   f.close();
 
@@ -209,18 +213,10 @@ TEST_F(WalTest, UnknownRecordTypeIsSkippedNotFatal) {
   }
   {
     // Hand-craft an envelope-valid frame of unknown type 9.
-    StateWriter payload;
-    payload.u8(9);
-    for (const char c : std::string("future-record-kind"))
-      payload.u8(static_cast<std::uint8_t>(c));
-    StateWriter frame;
-    frame.u32(static_cast<std::uint32_t>(payload.size()));
-    frame.u32(crc32(payload.buffer().data(), payload.size()));
+    std::string frame;
+    append_frame(frame, std::string("\x09") + "future-record-kind");
     std::ofstream f(file, std::ios::binary | std::ios::app);
-    f.write(frame.buffer().data(),
-            static_cast<std::streamsize>(frame.size()));
-    f.write(payload.buffer().data(),
-            static_cast<std::streamsize>(payload.size()));
+    f.write(frame.data(), static_cast<std::streamsize>(frame.size()));
   }
   {
     WalWriter w(file, FsyncPolicy::kNone, 1, /*truncate=*/false);
@@ -235,32 +231,33 @@ TEST_F(WalTest, UnknownRecordTypeIsSkippedNotFatal) {
   EXPECT_EQ(r.valid_bytes, fs::file_size(file));
 }
 
-// Type-2 tenant-offer frames: records carrying a tenant round-trip with
-// the tenant intact, and tenant-less records keep emitting the fixed-size
-// type-1 frame — a log written without tenants stays byte-identical to
-// the v1 format.
-TEST_F(WalTest, TenantRecordsRoundTripAndTenantlessStayType1) {
-  const std::string file = path("tenant.wal");
+// One offer frame for every record: with or without a tenant, records
+// round-trip as type-1 frames, and a tenant-less one carries an empty
+// tenant (an 8-byte zero length) — the frame is never a different layout.
+TEST_F(WalTest, TenantlessRecordsRoundTrip) {
+  const std::string file = path("tenantless.wal");
   std::vector<WalRecord> records = sample_records(6, 11);
+  write_records(file, records, FsyncPolicy::kBatch);
+  WalReadResult r = read_wal(file);
+  EXPECT_FALSE(r.torn) << r.tail_error;
+  EXPECT_EQ(r.records, records);
+  EXPECT_EQ(fs::file_size(file),
+            kSegmentHeaderBytes + records.size() * kOfferFrameBytes);
+  EXPECT_EQ(r.frame_type_counts,
+            (std::map<unsigned, std::uint64_t>{{1u, records.size()}}));
+
   records[1].tenant = "alice";
   records[3].tenant = "bob-2.example";
   records[4].tenant = "alice";
-  write_records(file, records, FsyncPolicy::kBatch);
-
-  const WalReadResult r = read_wal(file);
+  write_records(file, records);
+  r = read_wal(file);
   EXPECT_FALSE(r.torn) << r.tail_error;
-  ASSERT_EQ(r.records.size(), records.size());
-  for (std::size_t i = 0; i < records.size(); ++i)
-    EXPECT_EQ(r.records[i], records[i]) << "record " << i;
-
-  // A fully tenant-less log is pure type-1: 8-byte file header plus
-  // fixed 57-byte frames (8 header + 49 payload), exactly the v1 layout.
-  const std::string v1 = path("tenantless.wal");
-  write_records(v1, sample_records(4, 12));
-  EXPECT_EQ(fs::file_size(v1), 8u + 4u * (8u + 49u));
+  EXPECT_EQ(r.records, records);
+  EXPECT_EQ(r.frame_type_counts,
+            (std::map<unsigned, std::uint64_t>{{1u, records.size()}}));
 }
 
-// A CRC-valid type-2 frame whose tenant_len disagrees with the payload's
+// A CRC-valid offer frame whose tenant_len disagrees with the payload's
 // remaining bytes is corruption, not a short tenant: the reader must stop
 // at the intact prefix and flag the tail.
 TEST_F(WalTest, TenantFrameWithBadLengthIsTorn) {
@@ -268,39 +265,26 @@ TEST_F(WalTest, TenantFrameWithBadLengthIsTorn) {
   const std::vector<WalRecord> records = sample_records(2, 13);
   write_records(file, records);
 
-  const auto append_type2 = [&](std::uint64_t tenant_len,
+  const auto append_offer = [&](std::uint64_t tenant_len,
                                 const std::string& tenant_bytes) {
     StateWriter payload;
-    payload.u8(2);
+    payload.u8(1);
     for (int i = 0; i < 6; ++i) payload.u64(0);  // fixed offer fields
     payload.u64(tenant_len);
-    for (const char c : tenant_bytes)
-      payload.u8(static_cast<std::uint8_t>(c));
-    StateWriter frame;
-    frame.u32(static_cast<std::uint32_t>(payload.size()));
-    frame.u32(crc32(payload.buffer().data(), payload.size()));
+    std::string frame;
+    append_frame(frame, payload.buffer() + tenant_bytes);
     std::ofstream f(file, std::ios::binary | std::ios::app);
-    f.write(frame.buffer().data(), static_cast<std::streamsize>(frame.size()));
-    f.write(payload.buffer().data(),
-            static_cast<std::streamsize>(payload.size()));
+    f.write(frame.data(), static_cast<std::streamsize>(frame.size()));
   };
 
-  // tenant_len claims 99 bytes but only 4 follow.
-  append_type2(99, "oops");
-  {
+  // tenant_len claims 99 bytes but only 4 follow, then 2 but 4 follow.
+  for (const std::uint64_t tenant_len : {99u, 2u}) {
+    append_offer(tenant_len, "oops");
     const WalReadResult r = read_wal(file);
     EXPECT_TRUE(r.torn);
     EXPECT_EQ(r.records.size(), 2u);
-    EXPECT_NE(r.tail_error.find("length"), std::string::npos) << r.tail_error;
-  }
-
-  // Heal, then append a zero-length tenant — type 2 requires a tenant.
-  truncate_wal(file, read_wal(file).valid_bytes);
-  append_type2(0, "");
-  {
-    const WalReadResult r = read_wal(file);
-    EXPECT_TRUE(r.torn);
-    EXPECT_EQ(r.records.size(), 2u);
+    EXPECT_EQ(r.tail_error, "bad offer frame length");
+    truncate_wal(file, r.valid_bytes);
   }
 }
 
@@ -309,8 +293,7 @@ TEST_F(WalTest, SegmentHeaderRoundTripsBaseSeq) {
   std::vector<WalRecord> records = sample_records(4, 33);
   for (std::size_t i = 0; i < records.size(); ++i) records[i].seq = 42 + i;
   {
-    WalWriter w(file, FsyncPolicy::kBatch, 2, /*truncate=*/true,
-                WalFormat::kSegment, 42);
+    WalWriter w(file, FsyncPolicy::kBatch, 2, /*truncate=*/true, 42);
     for (const WalRecord& rec : records) w.append(rec);
     w.close();
   }
@@ -326,31 +309,29 @@ TEST_F(WalTest, SegmentHeaderRoundTripsBaseSeq) {
 TEST_F(WalTest, CorruptSegmentHeaderIsTornAtZero) {
   const std::string file = path("seghdr.wal");
   {
-    WalWriter w(file, FsyncPolicy::kNone, 1, /*truncate=*/true,
-                WalFormat::kSegment, 7);
+    WalWriter w(file, FsyncPolicy::kNone, 1, /*truncate=*/true, 7);
     w.append(sample_records(1, 2)[0]);
     w.close();
   }
   // Flip a byte inside the header's base_seq: the header CRC must reject
   // the whole file rather than trust a wrong base sequence.
   std::fstream f(file, std::ios::in | std::ios::out | std::ios::binary);
-  f.seekp(9);
+  f.seekp(17);
   f.put('\x55');
   f.close();
   const WalReadResult r = read_wal(file);
   EXPECT_TRUE(r.torn);
   EXPECT_EQ(r.valid_bytes, 0u);
-  EXPECT_NE(r.tail_error.find("header"), std::string::npos);
+  EXPECT_EQ(r.tail_error, "corrupt segment header");
 }
 
 /// An envelope-valid frame of `type` whose payload is `payload_len` bytes.
 std::string raw_frame(std::uint8_t type, std::size_t payload_len) {
   std::string payload(payload_len, '\x5A');
   payload[0] = static_cast<char>(type);
-  StateWriter head;
-  head.u32(static_cast<std::uint32_t>(payload.size()));
-  head.u32(crc32(payload.data(), payload.size()));
-  return head.buffer() + payload;
+  std::string frame;
+  append_frame(frame, payload);
+  return frame;
 }
 
 void append_bytes(const std::string& file, const std::string& bytes) {
@@ -358,21 +339,23 @@ void append_bytes(const std::string& file, const std::string& bytes) {
   f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-// The reader sees a file through one kWalReadBufferBytes window. A filler
+// The reader reads the 8-byte magic, then kReadBlockBytes blocks. A filler
 // frame parks the next offer frame so that it starts `before_edge` bytes
-// short of the first window's end — inside its 8-byte envelope header for
+// short of the first block's end — inside its 8-byte envelope header for
 // small values, inside its payload for larger ones — and the frame must
-// still decode from the refilled window.
+// still decode once the next block arrives.
 TEST_F(WalTest, FrameStraddlingTheReadBufferEdgeDecodes) {
   const std::vector<WalRecord> records = sample_records(4, 17);
-  for (const std::size_t before_edge : {1u, 4u, 7u, 8u, 9u, 30u, 56u}) {
+  const std::size_t edge = 8 + kReadBlockBytes;
+  for (const std::size_t before_edge : {1u, 4u, 7u, 8u, 9u, 30u, 64u}) {
     const std::string file = path("edge.wal");
     {
       WalWriter w(file, FsyncPolicy::kNone, 1, /*truncate=*/true);
       w.close();
     }
-    // 8-byte legacy header + filler frame end exactly at edge - before_edge.
-    append_bytes(file, raw_frame(9, kWalReadBufferBytes - before_edge - 16));
+    // Segment header + filler frame end exactly at edge - before_edge.
+    append_bytes(file, raw_frame(9, edge - before_edge - kSegmentHeaderBytes -
+                                        kFrameHeaderBytes));
     {
       WalWriter w(file, FsyncPolicy::kNone, 1, /*truncate=*/false);
       for (const WalRecord& rec : records) w.append(rec);
@@ -388,8 +371,8 @@ TEST_F(WalTest, FrameStraddlingTheReadBufferEdgeDecodes) {
   }
 }
 
-// The largest legal frame fits the window even when it starts mid-window;
-// one byte more is a bad length, i.e. torn tail.
+// The largest legal frame, many blocks long, is read even when it starts
+// mid-block; one byte more is a bad length, i.e. torn tail.
 TEST_F(WalTest, MaxPayloadFrameIsReadAndOneMoreByteIsTorn) {
   const std::string file = path("max.wal");
   const std::vector<WalRecord> records = sample_records(5, 19);
