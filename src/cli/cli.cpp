@@ -231,10 +231,11 @@ void print_usage(std::ostream& out) {
       << "  gen-stream --out FILE [--items N] [--tenants T] [--seed S]\n"
       << "            [--mu-log2 M]\n"
       << "  serve     --algo ALGO --in STREAM --wal-dir DIR [--shards N]\n"
-      << "            [--fsync none|batch|every] [--fsync-batch K]\n"
+      << "            [--fsync none|every]  (default every: an ack waits for\n"
+      << "             its batch's fsync; none never fsyncs)\n"
       << "            [--checkpoint-every N] [--admission block|reject|shed]\n"
       << "            [--queue-capacity N] [--throttle-us U] [--resume]\n"
-      << "            [--wal-segment-bytes B] [--group-commit-window U]\n"
+      << "            [--wal-segment-bytes B]\n"
       << "            [--out FILE] [--metrics-out FILE]\n"
       << "            (--out: applied placements as CSV; file-fed only)\n"
       << "            [--trace-out FILE] [--trace-format chrome|jsonl]\n"
@@ -818,9 +819,7 @@ int cmd_serve(Flags& flags, std::ostream& out, std::ostream& err) {
   rc.wal_dir = flags.require("wal-dir");
   rc.shards = static_cast<std::size_t>(
       to_int(flags.get("shards").value_or("1"), "--shards"));
-  rc.fsync = serve::parse_fsync_policy(flags.get("fsync").value_or("batch"));
-  rc.fsync_batch = static_cast<std::size_t>(
-      to_int(flags.get("fsync-batch").value_or("64"), "--fsync-batch"));
+  rc.fsync = serve::parse_fsync_policy(flags.get("fsync").value_or("every"));
   rc.checkpoint_every = static_cast<std::uint64_t>(to_int(
       flags.get("checkpoint-every").value_or("0"), "--checkpoint-every"));
   rc.admission = serve::parse_admission_policy(
@@ -833,8 +832,6 @@ int cmd_serve(Flags& flags, std::ostream& out, std::ostream& err) {
   rc.wal_segment_bytes = static_cast<std::uint64_t>(
       to_int(flags.get("wal-segment-bytes").value_or("8388608"),
              "--wal-segment-bytes"));
-  rc.group_commit_window_us = static_cast<std::uint32_t>(to_int(
-      flags.get("group-commit-window").value_or("0"), "--group-commit-window"));
   const double mu_hint = std::stod(flags.get("mu-hint").value_or("2"));
   const auto out_path = flags.get("out");
   const auto metrics_out = flags.get("metrics-out");
@@ -876,10 +873,11 @@ int cmd_serve(Flags& flags, std::ostream& out, std::ostream& err) {
   } sink_guard{trace_out.has_value()};
   std::unique_ptr<serve::StatsExporter> stats;
   if (stats_out) {
-    // A signal handler may only set a volatile sig_atomic_t; the exporter's
+    // A signal handler may only store to a lock-free atomic; the exporter's
     // poll loop consumes the flag.
-    std::signal(SIGUSR1,
-                [](int) { serve::StatsExporter::dump_requested = 1; });
+    std::signal(SIGUSR1, [](int) {
+      serve::StatsExporter::dump_requested.store(1, std::memory_order_relaxed);
+    });
     stats = std::make_unique<serve::StatsExporter>(
         serve::StatsExporterConfig{*stats_out, stats_interval});
   }

@@ -50,7 +50,6 @@ DurableSession::DurableSession(AlgorithmPtr algo, std::string algo_name,
   checkpointable_ = dynamic_cast<Checkpointable*>(algo_.get());
   SegmentedWal::Options opts;
   opts.policy = config_.fsync;
-  opts.fsync_batch = config_.fsync_batch;
   opts.segment_bytes = config_.wal_segment_bytes;
   opts.group_commit = config_.group_commit;
   opts.env = config_.env;
@@ -197,9 +196,9 @@ void DurableSession::check_usable() const {
   if (!wal_) throw std::logic_error("DurableSession: offer after close");
 }
 
-BinId DurableSession::offer(Time arrival, Time departure, Load size,
-                            std::uint64_t stream_index,
-                            std::string_view tenant) {
+BinId DurableSession::offer_deferred(Time arrival, Time departure, Load size,
+                                     std::uint64_t stream_index,
+                                     std::string_view tenant) {
   check_usable();
   const BinId bin = session_.offer(arrival, departure, size);
   try {
@@ -221,25 +220,12 @@ BinId DurableSession::offer(Time arrival, Time departure, Load size,
   return bin;
 }
 
-BinId DurableSession::offer_deferred(Time arrival, Time departure, Load size,
-                                     std::uint64_t stream_index,
-                                     std::string_view tenant) {
-  check_usable();
-  const BinId bin = session_.offer(arrival, departure, size);
-  try {
-    wal_->append_nosync(
-        make_record(arrival, departure, size, stream_index, bin, tenant));
-  } catch (...) {
-    failed_ = true;
-    note_poisoned();
-    throw;
-  }
-  ++seq_;
-  note_stream_index(stream_index, tenant);
-  g_offers.add();
-  if (config_.checkpoint_every > 0 && checkpointable_ &&
-      seq_ % config_.checkpoint_every == 0)
-    checkpoint_now();
+BinId DurableSession::offer(Time arrival, Time departure, Load size,
+                            std::uint64_t stream_index,
+                            std::string_view tenant) {
+  const BinId bin =
+      offer_deferred(arrival, departure, size, stream_index, tenant);
+  commit();
   return bin;
 }
 
@@ -265,7 +251,7 @@ bool DurableSession::checkpoint_now() {
   // recovery would trust state it cannot cross-check against records.
   if (wal_) {
     try {
-      wal_->sync();
+      wal_->sync_file();
     } catch (...) {
       failed_ = true;
       note_poisoned();

@@ -3,23 +3,23 @@
 // crashed shard restarts from `last checkpoint + WAL tail replay` and
 // continues bit-identically with the session that died.
 //
-// Write path (offer):
+// Write path — offer_deferred() per offer, then commit():
 //   1. apply the offer to the in-memory session (algorithm decides a bin);
-//   2. append the framed record to the WAL and apply the fsync policy
-//      (under kEvery via the group-commit coordinator when configured);
+//   2. append the framed record to the WAL (a write, no fsync);
 //   3. every `checkpoint_every` offers, snapshot session + algorithm state
 //      to the checkpoint file (WAL fsynced first, so the checkpoint never
 //      claims records the log might not hold), then compact away WAL
-//      segments the checkpoint fully covers.
-// A crash between (1) and (2) loses only an unacknowledged offer — exactly
-// the log-before-ack contract. If (2) FAILS (ENOSPC, fsync error), the
-// in-memory state has diverged from the durable log and the session
+//      segments the checkpoint fully covers;
+//   4. commit(): under kEvery, one fsync (a group commit when a
+//      coordinator is configured) makes every record appended so far
+//      durable. Only then may any of those offers be acknowledged.
+// The shard worker runs 1-3 for a drained batch and 4 once for the batch;
+// offer() is the one-offer case, offer_deferred() followed by commit().
+// A crash before (4) returns loses only unacknowledged offers — exactly
+// the log-before-ack contract. If (2) or (4) FAILS (ENOSPC, fsync error),
+// the in-memory state has diverged from the durable log and the session
 // poisons itself: every further offer throws. Retrying would acknowledge
 // an offer the log may never hold (the Postgres fsync-gate lesson).
-//
-// Batched write path (offer_deferred + commit): the shard worker appends a
-// drained batch without per-record durability, issues ONE commit() for the
-// batch, and only then acknowledges any of it. Same contract, one fsync.
 //
 // Recovery path (resume=true) — two streamed passes over the segment
 // chain, each reading a segment through one fixed-size frame buffer, so
@@ -82,8 +82,7 @@ struct RecoveryReport {
 struct DurableSessionConfig {
   std::string wal_path;  ///< segment-chain base (see wal_segment.h)
   std::string checkpoint_path;
-  FsyncPolicy fsync = FsyncPolicy::kBatch;
-  std::size_t fsync_batch = 64;
+  FsyncPolicy fsync = FsyncPolicy::kEvery;
   /// Checkpoint every N offers; 0 disables periodic checkpoints. Ignored
   /// (recovery falls back to full replay) when the algorithm is not
   /// Checkpointable.
@@ -114,25 +113,26 @@ class DurableSession {
   DurableSession(AlgorithmPtr algo, std::string algo_name,
                  DurableSessionConfig config);
 
-  /// Applies one offer, logs it durably, maybe checkpoints. Returns the
-  /// chosen bin. `stream_index` is the caller's position in `tenant`'s
-  /// input stream (1-based; 0 = unknown) and `tenant` names the id space
-  /// it belongs to ("" = the shard-global space); together they key resume
-  /// de-duplication — see last_stream_index(tenant).
+  /// Applies one offer, appends it to the WAL, maybe checkpoints. Returns
+  /// the chosen bin. The record is NOT yet guaranteed on disk: the caller
+  /// MUST call commit() before acknowledging it. `stream_index` is the
+  /// caller's position in `tenant`'s input stream (1-based; 0 = unknown)
+  /// and `tenant` names the id space it belongs to ("" = the shard-global
+  /// space); together they key resume de-duplication — see
+  /// last_stream_index(tenant).
   /// Propagates std::invalid_argument from InteractiveSession::offer
   /// without logging anything. A WAL failure poisons the session (see
   /// failed()) and rethrows.
-  BinId offer(Time arrival, Time departure, Load size,
-              std::uint64_t stream_index, std::string_view tenant = {});
-
-  /// Like offer() but defers the per-record durability step: the record is
-  /// appended (and applied) but NOT yet guaranteed on disk. The caller
-  /// MUST call commit() before acknowledging any deferred offer.
   BinId offer_deferred(Time arrival, Time departure, Load size,
                        std::uint64_t stream_index,
                        std::string_view tenant = {});
 
-  /// Makes every deferred offer durable per the fsync policy (one group
+  /// offer_deferred() then commit(): when it returns, the offer is durable
+  /// per the fsync policy.
+  BinId offer(Time arrival, Time departure, Load size,
+              std::uint64_t stream_index, std::string_view tenant = {});
+
+  /// Makes every appended offer durable per the fsync policy (one group
   /// commit under kEvery). A failure poisons the session and rethrows.
   void commit();
 

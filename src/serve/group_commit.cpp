@@ -21,8 +21,8 @@ obs::Histogram& g_wait_us =
 
 }  // namespace
 
-GroupCommitCoordinator::GroupCommitCoordinator(std::uint32_t window_us)
-    : window_us_(window_us), committer_([this] { committer_loop(); }) {}
+GroupCommitCoordinator::GroupCommitCoordinator()
+    : committer_([this] { committer_loop(); }) {}
 
 GroupCommitCoordinator::~GroupCommitCoordinator() {
   {
@@ -76,13 +76,6 @@ void GroupCommitCoordinator::committer_loop() {
   while (true) {
     committer_cv_.wait(lock, [&] { return stopping_ || !pending_.empty(); });
     if (pending_.empty()) break;  // stopping, nothing left to flush
-    if (window_us_ > 0) {
-      // Linger with the lock released so more waiters can register into
-      // this round.
-      lock.unlock();
-      std::this_thread::sleep_for(std::chrono::microseconds(window_us_));
-      lock.lock();
-    }
     std::vector<WalSyncable*> batch;
     for (WalSyncable* target : pending_)
       if (failed_.count(target) == 0) batch.push_back(target);

@@ -3,12 +3,12 @@
 //
 // Under FsyncPolicy::kEvery each offer must be durable before it is
 // acknowledged, which naively costs one fsync per record and makes the
-// safe mode disk-bound (BENCH_SERVE.json E18: ~20x slower than `none`).
-// The coordinator collapses that: writers append their frames (plain
-// write(2), cheap), then call sync_and_wait(). All waiters that arrive
-// before the committer thread starts the next round are released by one
-// round, which issues a single fsync per *distinct dirty file* — so N
-// shards with M pending offers each pay N fsyncs per round, not N*M.
+// safe mode disk-bound. The coordinator collapses that: writers append
+// their frames (plain write(2), cheap), then call sync_and_wait(). All
+// waiters that arrive before the committer thread starts the next round
+// are released by one round, which issues a single fsync per *distinct
+// dirty file* — so N shards with M pending offers each pay N fsyncs per
+// round, not N*M.
 // The architecture mirrors an async-IO submission queue (cf. FlashGraph's
 // libsafs, see ROADMAP): producers enqueue, one committer drains.
 //
@@ -46,12 +46,10 @@ class WalSyncable {
 
 class GroupCommitCoordinator {
  public:
-  /// `window_us` > 0 makes the committer linger that long after waking
-  /// before it snapshots the dirty set, trading per-offer latency for
-  /// larger commit batches. 0 commits as soon as the thread wakes (waiters
-  /// arriving while an fsync round is in flight still batch into the next
-  /// round — the fsync itself is the natural batching window).
-  explicit GroupCommitCoordinator(std::uint32_t window_us = 0);
+  /// Starts the committer thread. It commits as soon as it wakes; waiters
+  /// arriving while an fsync round is in flight batch into the next round
+  /// (the fsync itself is the batching window).
+  GroupCommitCoordinator();
   ~GroupCommitCoordinator();
 
   GroupCommitCoordinator(const GroupCommitCoordinator&) = delete;
@@ -71,7 +69,6 @@ class GroupCommitCoordinator {
  private:
   void committer_loop();
 
-  const std::uint32_t window_us_;
   mutable std::mutex mutex_;
   std::condition_variable committer_cv_;
   std::condition_variable waiters_cv_;

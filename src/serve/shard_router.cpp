@@ -186,10 +186,9 @@ ShardRouter::ShardRouter(RouterConfig config,
   make_dir(io::env_or_posix(config_.env), config_.wal_dir);
 
   // One committer thread merges every shard's kEvery fsyncs into shared
-  // rounds; pointless (and pure overhead) under the other policies.
+  // rounds; pointless (and pure overhead) under kNone.
   if (config_.fsync == FsyncPolicy::kEvery)
-    group_commit_ = std::make_unique<GroupCommitCoordinator>(
-        config_.group_commit_window_us);
+    group_commit_ = std::make_unique<GroupCommitCoordinator>();
 
   // Sessions are built (and recovered) serially here, so recovery errors
   // surface from the constructor; workers only ever touch their own shard.
@@ -204,7 +203,6 @@ ShardRouter::ShardRouter(RouterConfig config,
     sc.wal_path = shard_file(config_.wal_dir, i, ".wal");
     sc.checkpoint_path = shard_file(config_.wal_dir, i, ".ckpt");
     sc.fsync = config_.fsync;
-    sc.fsync_batch = config_.fsync_batch;
     sc.checkpoint_every = config_.checkpoint_every;
     sc.resume = config_.resume;
     sc.wal_segment_bytes = config_.wal_segment_bytes;
@@ -436,8 +434,8 @@ void ShardRouter::worker_loop(Shard& shard) {
         notify(batch[j].stream_index, batch[j].tenant, AckKind::kDropped);
       continue;
     }
-    // The ack instant: every offer in the batch is durable per the fsync
-    // policy.
+    // The ack instant: the commit made every offer in the batch durable
+    // per the fsync policy.
     const std::uint64_t ack_ns = mono_now_ns();
     {
       obs::TraceSpan ack_span(
@@ -474,10 +472,10 @@ void ShardRouter::worker_loop(Shard& shard) {
       shard.stats.final_cost = shard.session->finish();
       shard.session->close();
     } catch (const std::exception& e) {
-      // The final WAL sync failed: records already acked under kEvery are
-      // durable (their fsync happened at commit time); what is lost is
-      // only batched-policy tail durability, which acks never promised.
-      // Still a degraded shard — its log may end short of memory.
+      // The final checkpoint or WAL close failed. Every acked record is
+      // already durable (acks wait for their batch's commit), so no ack is
+      // broken; still a degraded shard, as its files may end short of
+      // memory.
       mark_degraded(shard, e.what());
     }
   }

@@ -85,8 +85,7 @@ struct RouterConfig {
   std::size_t shards = 1;
   std::size_t queue_capacity = 1024;
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
-  FsyncPolicy fsync = FsyncPolicy::kBatch;
-  std::size_t fsync_batch = 64;
+  FsyncPolicy fsync = FsyncPolicy::kEvery;
   std::uint64_t checkpoint_every = 0;  ///< 0 = no periodic checkpoints
   bool resume = false;
   /// Test/bench hook: microseconds each worker sleeps per request, to make
@@ -94,9 +93,6 @@ struct RouterConfig {
   std::uint32_t worker_delay_us = 0;
   /// Per-shard WAL segment rotation threshold; 0 = single growing segment.
   std::uint64_t wal_segment_bytes = 0;
-  /// Group-commit linger (microseconds) under fsync=every; 0 commits as
-  /// soon as the committer wakes. See GroupCommitCoordinator.
-  std::uint32_t group_commit_window_us = 0;
   /// Write a checkpoint per shard during stop(), after the queue drained
   /// and before the session finishes — the graceful-shutdown path of
   /// `cdbp serve --listen`, so a restart replays a WAL tail instead of the

@@ -8,7 +8,7 @@
 
 namespace cdbp::serve {
 
-volatile std::sig_atomic_t StatsExporter::dump_requested = 0;
+std::atomic<int> StatsExporter::dump_requested{0};
 
 namespace {
 
@@ -116,11 +116,7 @@ void StatsExporter::loop() {
   while (!stopping_) {
     stop_cv_.wait_for(lock, kPoll, [this] { return stopping_; });
     if (stopping_) break;
-    bool want_dump = false;
-    if (dump_requested) {
-      dump_requested = 0;
-      want_dump = true;
-    }
+    bool want_dump = dump_requested.exchange(0) != 0;
     const auto now = std::chrono::steady_clock::now();
     if (config_.interval_ms > 0 && now >= next_periodic) {
       want_dump = true;

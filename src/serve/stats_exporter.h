@@ -11,16 +11,15 @@
 // never reads a half-written page. A final dump always happens at stop()/
 // destruction, so a short run with a long interval still produces output.
 //
-// SIGUSR1: the exporter polls `dump_requested` (a volatile sig_atomic_t a
-// signal handler may set — that is the only thing an async handler can
-// safely do) every poll tick and dumps immediately when set. The CLI
+// SIGUSR1: the exporter polls `dump_requested` (a lock-free atomic, which
+// a signal handler may store to — about the only thing an async handler
+// can safely do) every poll tick and dumps immediately when set. The CLI
 // installs the handler; this class only consumes the flag.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <csignal>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -75,8 +74,11 @@ class StatsExporter {
     return config_.out_base;
   }
 
-  /// Set (to 1) by the CLI's SIGUSR1 handler; consumed by the poll loop.
-  static volatile std::sig_atomic_t dump_requested;
+  /// Set (to 1) by the CLI's SIGUSR1 handler; consumed by the poll loop
+  /// with exchange(0), so a signal landing mid-consume is not lost.
+  static std::atomic<int> dump_requested;
+  static_assert(std::atomic<int>::is_always_lock_free,
+                "a signal handler may only touch lock-free atomics");
 
  private:
   void loop();

@@ -50,8 +50,6 @@ std::string to_string(FsyncPolicy policy) {
   switch (policy) {
     case FsyncPolicy::kNone:
       return "none";
-    case FsyncPolicy::kBatch:
-      return "batch";
     case FsyncPolicy::kEvery:
       return "every";
   }
@@ -60,25 +58,18 @@ std::string to_string(FsyncPolicy policy) {
 
 FsyncPolicy parse_fsync_policy(const std::string& s) {
   if (s == "none") return FsyncPolicy::kNone;
-  if (s == "batch") return FsyncPolicy::kBatch;
   if (s == "every") return FsyncPolicy::kEvery;
-  throw std::invalid_argument("fsync policy must be none|batch|every, got '" +
-                              s + "'");
+  throw std::invalid_argument("fsync policy must be none|every, got '" + s +
+                              "'");
 }
 
 void fsync_parent_dir(const std::string& path, io::Env* env) {
   io::sync_parent_dir(io::env_or_posix(env), path);
 }
 
-WalWriter::WalWriter(std::string path, FsyncPolicy policy,
-                     std::size_t fsync_batch, bool truncate,
+WalWriter::WalWriter(std::string path, FsyncPolicy policy, bool truncate,
                      std::uint64_t base_seq, io::Env* env)
-    : path_(std::move(path)),
-      policy_(policy),
-      fsync_batch_(fsync_batch),
-      env_(&io::env_or_posix(env)) {
-  if (policy_ == FsyncPolicy::kBatch && fsync_batch_ == 0)
-    throw std::invalid_argument("wal: fsync_batch must be >= 1");
+    : path_(std::move(path)), policy_(policy), env_(&io::env_or_posix(env)) {
   file_ = io::open_file(*env_, path_,
                         truncate ? io::OpenMode::kTruncate
                                  : io::OpenMode::kAppend);
@@ -94,10 +85,10 @@ WalWriter::WalWriter(std::string path, FsyncPolicy policy,
     io::write_all(*file_, kWalMagic.data(), kWalMagic.size(), path_);
     io::write_all(*file_, frame_.data(), frame_.size(), path_);
     bytes_ = kSegmentHeaderBytes;
-    // An empty-but-created log must itself survive power loss under the
-    // durable policies, or recovery after a crash-before-first-append
-    // would see "missing file" where the writer saw "created".
-    if (policy_ != FsyncPolicy::kNone) {
+    // An empty-but-created log must itself survive power loss under
+    // kEvery, or recovery after a crash-before-first-append would see
+    // "missing file" where the writer saw "created".
+    if (policy_ == FsyncPolicy::kEvery) {
       fsync_file(*file_, path_);
       io::sync_parent_dir(*env_, path_);
     }
@@ -115,7 +106,7 @@ WalWriter::~WalWriter() {
   }
 }
 
-void WalWriter::write_frame(const WalRecord& rec) {
+void WalWriter::append(const WalRecord& rec) {
   if (!file_) throw std::logic_error("wal: append after close");
   StateWriter payload;
   payload.u8(kRecordOffer);
@@ -138,18 +129,6 @@ void WalWriter::write_frame(const WalRecord& rec) {
   g_appends.add();
 }
 
-void WalWriter::append(const WalRecord& rec) {
-  write_frame(rec);
-  if (policy_ == FsyncPolicy::kEvery ||
-      (policy_ == FsyncPolicy::kBatch && unsynced_ >= fsync_batch_))
-    sync();
-}
-
-void WalWriter::append_nosync(const WalRecord& rec) {
-  write_frame(rec);
-  if (policy_ == FsyncPolicy::kBatch && unsynced_ >= fsync_batch_) sync();
-}
-
 void WalWriter::sync() {
   if (!file_) return;
   fsync_file(*file_, path_);
@@ -159,7 +138,7 @@ void WalWriter::sync() {
 
 void WalWriter::close() {
   if (!file_) return;
-  if (policy_ != FsyncPolicy::kNone && unsynced_ > 0) sync();
+  if (policy_ == FsyncPolicy::kEvery && unsynced_ > 0) sync();
   int err = 0;
   const int rc = file_->close(err);
   file_.reset();

@@ -29,10 +29,9 @@
 // Torn-write semantics: a reader accepts the longest prefix of intact
 // frames and reports everything after it (a partial frame from a crash, or
 // a corrupted one) as a torn tail. Recovery truncates the file back to the
-// intact prefix; the lost records were never acknowledged under
-// FsyncPolicy::kEvery, and under batched policies the affected requests are
-// re-fed by the resume path (stream_index de-duplication, see
-// shard_router.h).
+// intact prefix; under FsyncPolicy::kEvery the lost records were never
+// acknowledged, and the resume path re-feeds them (stream_index
+// de-duplication, see shard_router.h).
 #pragma once
 
 #include <cstddef>
@@ -48,15 +47,18 @@
 
 namespace cdbp::serve {
 
-/// When appends are made durable.
-///  * kNone   — never fsync; the OS flushes when it pleases (bench baseline).
-///  * kBatch  — fsync every `fsync_batch` records and on flush()/close().
-///  * kEvery  — fsync after every record: an acked placement survives
-///              kill -9 of the process and loss of the page cache.
-enum class FsyncPolicy { kNone, kBatch, kEvery };
+/// When appended records are made durable. Appends never sync; the commit
+/// that follows them (SegmentedWal::commit) is the durability point.
+///  * kEvery  — every commit fsyncs before it returns, so a placement acked
+///              after its commit survives kill -9 and loss of the page
+///              cache. One fsync covers every record appended since the
+///              last one (a shard worker commits once per drained batch).
+///  * kNone   — never fsync; the OS flushes when it pleases (tests and
+///              benchmarks).
+enum class FsyncPolicy { kNone, kEvery };
 
 [[nodiscard]] std::string to_string(FsyncPolicy policy);
-/// Parses "none" | "batch" | "every"; throws std::invalid_argument.
+/// Parses "none" | "every"; throws std::invalid_argument.
 [[nodiscard]] FsyncPolicy parse_fsync_policy(const std::string& s);
 
 /// Fsyncs the directory containing `path`, making a just-completed
@@ -92,36 +94,30 @@ class WalWriter {
   /// whose header carries `base_seq`; otherwise appends to the existing
   /// file (which must carry a valid header — recovery truncates torn tails
   /// before reopening).
-  /// A newly created header is fsynced (file + parent directory) under
-  /// kBatch/kEvery so an empty-but-created log survives power loss.
+  /// The policy decides only two fsyncs: under kEvery a newly created
+  /// header is fsynced (file + parent directory) so an empty-but-created
+  /// log survives power loss, and close() syncs an unsynced tail.
   /// All I/O flows through `env` (nullptr = the real filesystem), so a
   /// FaultInjectingEnv can schedule short writes, ENOSPC, and fsync faults
   /// against every byte this writer emits.
-  WalWriter(std::string path, FsyncPolicy policy, std::size_t fsync_batch,
-            bool truncate, std::uint64_t base_seq = 0,
-            io::Env* env = nullptr);
+  WalWriter(std::string path, FsyncPolicy policy, bool truncate,
+            std::uint64_t base_seq = 0, io::Env* env = nullptr);
   ~WalWriter();
 
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Appends one framed record and applies the fsync policy. Returns only
-  /// once the record is durable per the policy.
+  /// Writes one framed record. Never syncs: the record is durable only
+  /// after a later sync() (or close() under kEvery).
   void append(const WalRecord& rec);
 
-  /// Appends one framed record WITHOUT applying the per-record part of the
-  /// fsync policy (kBatch still syncs when the batch threshold is hit).
-  /// Callers that defer durability this way must pair it with sync() — or
-  /// a group commit — before acknowledging the record.
-  void append_nosync(const WalRecord& rec);
-
-  /// Forces an fsync now (no-op under kNone with nothing buffered is still
-  /// an fsync — callers use this to order a checkpoint after its WAL
-  /// prefix).
+  /// Forces an fsync now, whatever the policy and even with nothing
+  /// unsynced (callers use this to seal a segment or to order a checkpoint
+  /// after its WAL prefix).
   void sync();
 
-  /// Flush + fsync (unless kNone) + close. Idempotent; the destructor
-  /// calls it, swallowing errors.
+  /// Fsync (under kEvery, when anything is unsynced) + close. Idempotent;
+  /// the destructor calls it, swallowing errors.
   void close();
 
   [[nodiscard]] std::uint64_t appended() const noexcept { return appended_; }
@@ -136,11 +132,8 @@ class WalWriter {
   [[nodiscard]] std::size_t unsynced() const noexcept { return unsynced_; }
 
  private:
-  void write_frame(const WalRecord& rec);
-
   std::string path_;
   FsyncPolicy policy_;
-  std::size_t fsync_batch_;
   io::Env* env_;
   std::unique_ptr<io::File> file_;
   std::size_t unsynced_ = 0;

@@ -382,7 +382,7 @@ std::string SegmentedWal::full_path(const std::string& file) const {
 void SegmentedWal::open_active(std::uint64_t base_seq, bool create) {
   writer_ = std::make_unique<WalWriter>(
       full_path(manifest_.segments.back().file), opts_.policy,
-      opts_.fsync_batch, /*truncate=*/create, base_seq, env_);
+      /*truncate=*/create, base_seq, env_);
   records_in_active_ = 0;
 }
 
@@ -406,15 +406,7 @@ void SegmentedWal::maybe_rotate(std::uint64_t next_seq) {
 
 void SegmentedWal::append(const WalRecord& rec) {
   maybe_rotate(rec.seq);
-  writer_->append_nosync(rec);
-  ++appended_;
-  ++records_in_active_;
-  if (opts_.policy == FsyncPolicy::kEvery) commit();
-}
-
-void SegmentedWal::append_nosync(const WalRecord& rec) {
-  maybe_rotate(rec.seq);
-  writer_->append_nosync(rec);
+  writer_->append(rec);
   ++appended_;
   ++records_in_active_;
 }
@@ -426,10 +418,6 @@ void SegmentedWal::commit() {
     opts_.group_commit->sync_and_wait(*this);
   else
     writer_->sync();
-}
-
-void SegmentedWal::sync() {
-  if (writer_) writer_->sync();
 }
 
 void SegmentedWal::sync_file() {

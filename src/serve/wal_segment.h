@@ -136,16 +136,18 @@ std::uint64_t repair_segmented_wal(const std::string& base,
 /// Append-side handle over the segment chain. Not thread-safe (one shard
 /// worker), except that sync_file() may be invoked by the group-commit
 /// committer while the owner is blocked inside commit().
+///
+/// Write path: append() writes, commit() makes durable. An acknowledgement
+/// may only follow the commit() that covers its record.
 class SegmentedWal final : public WalSyncable {
  public:
   struct Options {
-    FsyncPolicy policy = FsyncPolicy::kBatch;
-    std::size_t fsync_batch = 64;
+    FsyncPolicy policy = FsyncPolicy::kEvery;
     /// Rotate to a new segment once the active one reaches this size.
     /// 0 = never rotate (single growing segment).
     std::uint64_t segment_bytes = 0;
-    /// When set and policy == kEvery, per-record durability goes through
-    /// the shared coordinator instead of a private fsync.
+    /// When set and policy == kEvery, commit() goes through the shared
+    /// coordinator instead of a private fsync.
     GroupCommitCoordinator* group_commit = nullptr;
     /// I/O environment for every byte this log touches (segments, manifest,
     /// repairs). nullptr = the real filesystem; tests pass a
@@ -166,25 +168,20 @@ class SegmentedWal final : public WalSyncable {
   SegmentedWal(const SegmentedWal&) = delete;
   SegmentedWal& operator=(const SegmentedWal&) = delete;
 
-  /// Appends one record and applies the fsync policy (under kEvery via the
-  /// group-commit coordinator when configured). May rotate first.
+  /// Writes one record, rotating to a new segment first when the active
+  /// one is full. Never syncs (a rotation seals the old segment, though).
   void append(const WalRecord& rec);
 
-  /// Appends without the per-record durability step (kBatch thresholds
-  /// still apply). Pair with commit() before acknowledging.
-  void append_nosync(const WalRecord& rec);
-
-  /// Makes everything appended so far durable per the policy: kEvery
-  /// fsyncs (group commit when configured), kNone/kBatch are no-ops beyond
-  /// their own cadence. The shard worker calls this once per drained
-  /// batch, then acks the whole batch.
+  /// The durability point. Under kEvery it makes everything appended so
+  /// far durable with one fsync of the active segment (through the
+  /// group-commit coordinator when configured); under kNone it does
+  /// nothing. The shard worker calls this once per drained batch, then
+  /// acks the whole batch.
   void commit();
 
-  /// Unconditional direct fsync of the active segment (checkpoint
-  /// ordering: WAL before checkpoint).
-  void sync();
-
-  /// WalSyncable: fsync of the active segment, called by the committer.
+  /// Unconditional direct fsync of the active segment, whatever the
+  /// policy. The group-commit committer calls it (WalSyncable), and so
+  /// does a checkpoint, to order the WAL before the checkpoint.
   void sync_file() override;
 
   /// Deletes sealed segments whose every record the checkpoint at

@@ -5,7 +5,10 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -34,6 +37,8 @@ TEST(Cli, HelpAndNoArgs) {
   const CliRun help = cli({"help"});
   EXPECT_EQ(help.code, 0);
   EXPECT_NE(help.out.find("usage:"), std::string::npos);
+  EXPECT_NE(help.out.find("[--fsync none|every]  (default every"),
+            std::string::npos);
   const CliRun none = cli({});
   EXPECT_EQ(none.code, 2);
 }
@@ -195,6 +200,36 @@ TEST(Cli, ErrorPathsReportCleanly) {
       cli({"adversary", "--algo", "ff", "--n", "4", "--bogus", "1"});
   EXPECT_EQ(unknown_flag.code, 1);
   EXPECT_NE(unknown_flag.err.find("--bogus"), std::string::npos);
+
+  // `--fsync` takes none|every only, and there are no fsync tuning flags;
+  // each refusal comes before any file is touched.
+  const std::string stream = temp_file("cdbp_cli_retired_stream.csv");
+  const std::string wal_dir = temp_file("cdbp_cli_retired_wal");
+  std::filesystem::remove_all(wal_dir);
+  ASSERT_EQ(cli({"gen-stream", "--out", stream, "--items", "20"}).code, 0);
+  const std::vector<std::string> serve_args = {
+      "serve", "--algo", "ff", "--in", stream, "--wal-dir", wal_dir};
+  const auto serve_with = [&](const std::string& flag,
+                              const std::string& value) {
+    std::vector<std::string> args = serve_args;
+    args.push_back(flag);
+    args.push_back(value);
+    return cli(args);
+  };
+  const CliRun batch = serve_with("--fsync", "batch");
+  EXPECT_EQ(batch.code, 1);
+  EXPECT_NE(batch.err.find("fsync policy must be none|every"),
+            std::string::npos)
+      << batch.err;
+  for (const auto& [flag, value] :
+       {std::pair<std::string, std::string>{"--fsync-batch", "8"},
+        {"--group-commit-window", "50"}}) {
+    const CliRun r = serve_with(flag, value);
+    EXPECT_EQ(r.code, 1);
+    EXPECT_NE(r.err.find("unknown flag " + flag), std::string::npos) << r.err;
+  }
+  EXPECT_FALSE(std::filesystem::exists(wal_dir));
+  std::remove(stream.c_str());
 }
 
 TEST(Cli, MakeAlgorithmCoversAllNames) {

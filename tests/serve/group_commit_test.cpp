@@ -181,30 +181,37 @@ class GroupCommitDurabilityTest : public ::testing::Test {
 
 TEST_F(GroupCommitDurabilityTest, AckedOfferSurvivesDroppedUnsyncedBytes) {
   GroupCommitCoordinator gc;
-  DurableSessionConfig cfg;
-  cfg.wal_path = (dir_ / "live.wal").string();
-  cfg.checkpoint_path = (dir_ / "live.ckpt").string();
-  cfg.fsync = FsyncPolicy::kEvery;
-  cfg.group_commit = &gc;
-  cfg.wal_segment_bytes = 256;  // cross rotation boundaries too
-  DurableSession s(cli::make_algorithm("ff"), "ff", cfg);
+  DurableSessionConfig group;
+  group.fsync = FsyncPolicy::kEvery;
+  group.group_commit = &gc;
+  // The second input sets nothing: the default config must keep the
+  // contract on its own (private fsyncs, no coordinator).
+  for (DurableSessionConfig cfg : {group, DurableSessionConfig{}}) {
+    const std::string name = cfg.group_commit != nullptr ? "group" : "default";
+    SCOPED_TRACE(name);
+    cfg.wal_path = (dir_ / (name + ".wal")).string();
+    cfg.checkpoint_path = (dir_ / (name + ".ckpt")).string();
+    cfg.wal_segment_bytes = 256;  // cross rotation boundaries too
+    DurableSession s(cli::make_algorithm("ff"), "ff", cfg);
 
-  for (std::uint64_t i = 0; i < 20; ++i) {
-    // offer() returning IS the acknowledgement under kEvery.
-    s.offer(0.5 * static_cast<double>(i),
-            0.5 * static_cast<double>(i) + 4.0, 0.25, i + 1);
-    const fs::path crash_dir = dir_ / ("crash" + std::to_string(i));
-    simulate_power_loss(s, crash_dir);
+    for (std::uint64_t i = 0; i < 20; ++i) {
+      // offer() returning IS the acknowledgement.
+      s.offer(0.5 * static_cast<double>(i),
+              0.5 * static_cast<double>(i) + 4.0, 0.25, i + 1);
+      const fs::path crash_dir =
+          dir_ / (name + "-crash" + std::to_string(i));
+      simulate_power_loss(s, crash_dir);
 
-    DurableSessionConfig rc;
-    rc.wal_path = (crash_dir / "live.wal").string();
-    rc.checkpoint_path = (crash_dir / "live.ckpt").string();
-    rc.resume = true;
-    rc.wal_segment_bytes = 256;
-    DurableSession rec(cli::make_algorithm("ff"), "ff", rc);
-    EXPECT_EQ(rec.seq(), i + 1)
-        << "offer " << i << " was acked but did not survive the crash";
-    EXPECT_EQ(rec.last_stream_index(), i + 1);
+      DurableSessionConfig rc;
+      rc.wal_path = (crash_dir / (name + ".wal")).string();
+      rc.checkpoint_path = (crash_dir / (name + ".ckpt")).string();
+      rc.resume = true;
+      rc.wal_segment_bytes = 256;
+      DurableSession rec(cli::make_algorithm("ff"), "ff", rc);
+      EXPECT_EQ(rec.seq(), i + 1)
+          << "offer " << i << " was acked but did not survive the crash";
+      EXPECT_EQ(rec.last_stream_index(), i + 1);
+    }
   }
 }
 

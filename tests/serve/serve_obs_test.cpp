@@ -169,12 +169,12 @@ TEST_F(ServeObsTest, StatsExporterServicesSignalFlag) {
   const std::string base = (dir_ / "sig").string();
   {
     StatsExporter exporter(StatsExporterConfig{base, /*interval_ms=*/0});
-    StatsExporter::dump_requested = 1;  // what the SIGUSR1 handler does
+    StatsExporter::dump_requested.store(1);  // what the SIGUSR1 handler does
     // Poll tick is 50ms; wait for the loop to consume the flag.
     for (int i = 0; i < 100 && exporter.dumps() == 0; ++i)
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     EXPECT_GE(exporter.dumps(), 1u);
-    EXPECT_EQ(StatsExporter::dump_requested, 0);
+    EXPECT_EQ(StatsExporter::dump_requested.load(), 0);
   }
   EXPECT_TRUE(fs::exists(base + ".prom"));
   EXPECT_TRUE(fs::exists(base + ".json"));

@@ -1,5 +1,7 @@
 #include "serve/shard_router.h"
 
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <map>
 #include <mutex>
@@ -14,6 +16,7 @@
 #include "algos/any_fit.h"
 #include "algos/hybrid.h"
 #include "cli/cli.h"
+#include "core/io_env.h"
 #include "core/session.h"
 #include "serve/request_stream.h"
 
@@ -290,6 +293,61 @@ TEST_F(ShardRouterTest, ResumeDedupIsPerTenantNotPerShard) {
   EXPECT_EQ((acks[{"a", 7}]), AckKind::kApplied);
   EXPECT_EQ(router.stats(0).skipped, 6u);
   EXPECT_EQ(router.stats(0).applied, 4u);
+}
+
+// The default RouterConfig keeps the durability contract: every offer
+// acked kApplied survives a power loss that drops each byte not yet
+// fsynced. Ten offers stay below any record count an fsync cadence could
+// wait for.
+TEST_F(ShardRouterTest, DefaultConfigAckedOffersSurvivePowerLoss) {
+  io::FaultInjectingEnv env(io::Env::posix());
+  RouterConfig rc;  // every durability setting at its default
+  rc.wal_dir = dir_.string();
+  rc.env = &env;
+  constexpr std::size_t kOffers = 10;
+  std::mutex mu;
+  std::condition_variable all_acked;
+  std::vector<std::uint64_t> acked;
+  std::size_t shard = 0;
+  {
+    ShardRouter router(rc, ff_factory(), "ff");
+    shard = router.shard_of("t");
+    router.set_on_ack([&](const ServeResult& r, AckKind kind) {
+      if (kind != AckKind::kApplied) return;
+      const std::lock_guard<std::mutex> lock(mu);
+      acked.push_back(r.stream_index);
+      all_acked.notify_all();
+    });
+    for (std::uint64_t i = 1; i <= kOffers; ++i) {
+      ServeRequest req;
+      req.tenant = "t";
+      req.stream_index = i;
+      req.arrival = static_cast<double>(i);
+      req.departure = static_cast<double>(i) + 4.0;
+      req.size = 0.25;
+      ASSERT_TRUE(router.submit(req));
+    }
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      ASSERT_TRUE(all_acked.wait_for(lock, std::chrono::seconds(30), [&] {
+        return acked.size() == kOffers;
+      }));
+    }
+    // Every offer is acked, so the worker is idle: cut the power, then
+    // stop (closing the dead files may degrade the shard; that is fine).
+    env.simulate_power_loss();
+    router.stop();
+  }
+
+  DurableSessionConfig sc;
+  sc.wal_path = (dir_ / ("shard-" + std::to_string(shard) + ".wal")).string();
+  sc.checkpoint_path =
+      (dir_ / ("shard-" + std::to_string(shard) + ".ckpt")).string();
+  sc.resume = true;
+  DurableSession rec(cli::make_algorithm("ff"), "ff", sc);
+  for (const std::uint64_t idx : acked)
+    EXPECT_LE(idx, rec.last_stream_index("t"))
+        << "offer " << idx << " was acked but did not survive power loss";
 }
 
 TEST_F(ShardRouterTest, LifecycleGuards) {

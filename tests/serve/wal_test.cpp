@@ -62,7 +62,7 @@ std::vector<WalRecord> sample_records(std::size_t n, std::uint64_t seed) {
 void write_records(const std::string& file,
                    const std::vector<WalRecord>& records,
                    FsyncPolicy policy = FsyncPolicy::kNone) {
-  WalWriter w(file, policy, 4, /*truncate=*/true);
+  WalWriter w(file, policy, /*truncate=*/true);
   for (const WalRecord& rec : records) w.append(rec);
   w.close();
 }
@@ -70,7 +70,7 @@ void write_records(const std::string& file,
 TEST_F(WalTest, RoundTripsRecordsBitExactly) {
   const std::string file = path("a.wal");
   const std::vector<WalRecord> records = sample_records(25, 7);
-  write_records(file, records, FsyncPolicy::kBatch);
+  write_records(file, records, FsyncPolicy::kEvery);
 
   const WalReadResult r = read_wal(file);
   EXPECT_TRUE(r.exists);
@@ -136,7 +136,7 @@ TEST_F(WalTest, TornWriteAtEveryByteOffsetOfLastFrame) {
 
     // Repair + append continues the log where the intact prefix ended.
     truncate_wal(torn_file, r.valid_bytes);
-    WalWriter w(torn_file, FsyncPolicy::kNone, 1, /*truncate=*/false);
+    WalWriter w(torn_file, FsyncPolicy::kNone, /*truncate=*/false);
     w.append(records.back());
     w.close();
     const WalReadResult healed = read_wal(torn_file);
@@ -168,12 +168,12 @@ TEST_F(WalTest, AppendModePreservesExistingRecords) {
   const std::string file = path("app.wal");
   const std::vector<WalRecord> records = sample_records(8, 3);
   {
-    WalWriter w(file, FsyncPolicy::kEvery, 1, /*truncate=*/true);
+    WalWriter w(file, FsyncPolicy::kEvery, /*truncate=*/true);
     for (std::size_t i = 0; i < 4; ++i) w.append(records[i]);
     w.close();
   }
   {
-    WalWriter w(file, FsyncPolicy::kBatch, 2, /*truncate=*/false);
+    WalWriter w(file, FsyncPolicy::kNone, /*truncate=*/false);
     for (std::size_t i = 4; i < 8; ++i) w.append(records[i]);
     w.close();
   }
@@ -191,12 +191,20 @@ TEST_F(WalTest, TruncateModeStartsFresh) {
 
 TEST_F(WalTest, FsyncPolicyParsing) {
   EXPECT_EQ(parse_fsync_policy("none"), FsyncPolicy::kNone);
-  EXPECT_EQ(parse_fsync_policy("batch"), FsyncPolicy::kBatch);
   EXPECT_EQ(parse_fsync_policy("every"), FsyncPolicy::kEvery);
-  EXPECT_THROW((void)parse_fsync_policy("often"), std::invalid_argument);
-  EXPECT_EQ(to_string(FsyncPolicy::kBatch), "batch");
-  EXPECT_THROW(WalWriter(path("z.wal"), FsyncPolicy::kBatch, 0, true),
-               std::invalid_argument);
+  EXPECT_EQ(to_string(FsyncPolicy::kNone), "none");
+  EXPECT_EQ(to_string(FsyncPolicy::kEvery), "every");
+  // Any other name is refused, "batch" included, by an error that names
+  // the valid policies.
+  for (const char* name : {"batch", "often"}) {
+    try {
+      (void)parse_fsync_policy(name);
+      ADD_FAILURE() << name << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("none|every"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // Frame-format v2 envelope rule: an intact frame whose type byte is
@@ -207,7 +215,7 @@ TEST_F(WalTest, UnknownRecordTypeIsSkippedNotFatal) {
   const std::string file = path("future.wal");
   const std::vector<WalRecord> records = sample_records(5, 21);
   {
-    WalWriter w(file, FsyncPolicy::kNone, 1, /*truncate=*/true);
+    WalWriter w(file, FsyncPolicy::kNone, /*truncate=*/true);
     for (std::size_t i = 0; i < 3; ++i) w.append(records[i]);
     w.close();
   }
@@ -219,7 +227,7 @@ TEST_F(WalTest, UnknownRecordTypeIsSkippedNotFatal) {
     f.write(frame.data(), static_cast<std::streamsize>(frame.size()));
   }
   {
-    WalWriter w(file, FsyncPolicy::kNone, 1, /*truncate=*/false);
+    WalWriter w(file, FsyncPolicy::kNone, /*truncate=*/false);
     for (std::size_t i = 3; i < 5; ++i) w.append(records[i]);
     w.close();
   }
@@ -237,7 +245,7 @@ TEST_F(WalTest, UnknownRecordTypeIsSkippedNotFatal) {
 TEST_F(WalTest, TenantlessRecordsRoundTrip) {
   const std::string file = path("tenantless.wal");
   std::vector<WalRecord> records = sample_records(6, 11);
-  write_records(file, records, FsyncPolicy::kBatch);
+  write_records(file, records, FsyncPolicy::kEvery);
   WalReadResult r = read_wal(file);
   EXPECT_FALSE(r.torn) << r.tail_error;
   EXPECT_EQ(r.records, records);
@@ -293,7 +301,7 @@ TEST_F(WalTest, SegmentHeaderRoundTripsBaseSeq) {
   std::vector<WalRecord> records = sample_records(4, 33);
   for (std::size_t i = 0; i < records.size(); ++i) records[i].seq = 42 + i;
   {
-    WalWriter w(file, FsyncPolicy::kBatch, 2, /*truncate=*/true, 42);
+    WalWriter w(file, FsyncPolicy::kEvery, /*truncate=*/true, 42);
     for (const WalRecord& rec : records) w.append(rec);
     w.close();
   }
@@ -309,7 +317,7 @@ TEST_F(WalTest, SegmentHeaderRoundTripsBaseSeq) {
 TEST_F(WalTest, CorruptSegmentHeaderIsTornAtZero) {
   const std::string file = path("seghdr.wal");
   {
-    WalWriter w(file, FsyncPolicy::kNone, 1, /*truncate=*/true, 7);
+    WalWriter w(file, FsyncPolicy::kNone, /*truncate=*/true, 7);
     w.append(sample_records(1, 2)[0]);
     w.close();
   }
@@ -350,14 +358,14 @@ TEST_F(WalTest, FrameStraddlingTheReadBufferEdgeDecodes) {
   for (const std::size_t before_edge : {1u, 4u, 7u, 8u, 9u, 30u, 64u}) {
     const std::string file = path("edge.wal");
     {
-      WalWriter w(file, FsyncPolicy::kNone, 1, /*truncate=*/true);
+      WalWriter w(file, FsyncPolicy::kNone, /*truncate=*/true);
       w.close();
     }
     // Segment header + filler frame end exactly at edge - before_edge.
     append_bytes(file, raw_frame(9, edge - before_edge - kSegmentHeaderBytes -
                                         kFrameHeaderBytes));
     {
-      WalWriter w(file, FsyncPolicy::kNone, 1, /*truncate=*/false);
+      WalWriter w(file, FsyncPolicy::kNone, /*truncate=*/false);
       for (const WalRecord& rec : records) w.append(rec);
       w.close();
     }
@@ -377,13 +385,13 @@ TEST_F(WalTest, MaxPayloadFrameIsReadAndOneMoreByteIsTorn) {
   const std::string file = path("max.wal");
   const std::vector<WalRecord> records = sample_records(5, 19);
   {
-    WalWriter w(file, FsyncPolicy::kNone, 1, /*truncate=*/true);
+    WalWriter w(file, FsyncPolicy::kNone, /*truncate=*/true);
     for (std::size_t i = 0; i < 3; ++i) w.append(records[i]);
     w.close();
   }
   append_bytes(file, raw_frame(9, kMaxFramePayload));
   {
-    WalWriter w(file, FsyncPolicy::kNone, 1, /*truncate=*/false);
+    WalWriter w(file, FsyncPolicy::kNone, /*truncate=*/false);
     for (std::size_t i = 3; i < 5; ++i) w.append(records[i]);
     w.close();
   }
@@ -442,7 +450,7 @@ TEST_F(WalTest, ReadErrorThrowsAndEintrStormIsAbsorbed) {
 
 TEST_F(WalTest, AppendAfterCloseThrows) {
   const std::string file = path("closed.wal");
-  WalWriter w(file, FsyncPolicy::kNone, 1, /*truncate=*/true);
+  WalWriter w(file, FsyncPolicy::kNone, /*truncate=*/true);
   w.append(sample_records(1, 5)[0]);
   w.close();
   w.close();  // idempotent
