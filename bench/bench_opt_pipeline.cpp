@@ -1,7 +1,8 @@
 // Experiment E17 — the OPT-certification pipeline, before vs after.
 //
 // Part A (OPT_R): times the sequential reference sweep (exact-double
-// std::map memo, solve-on-first-use) against the snapshot pipeline
+// std::map memo, solve-on-first-use; oracles::exact_opt_repacking_reference
+// from tests/oracles) against the snapshot pipeline
 // (quantized O(1)-incremental dedup, longest-dwell-first solves with
 // chain hints, 8 solver threads) on E1-family geometric-burst instances
 // with n >= 2000 items, asserting the two costs agree bit for bit.
@@ -19,10 +20,12 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "opt/certify.h"
+#include "oracles/opt_reference.h"
 #include "workloads/general_random.h"
 
 namespace {
@@ -109,7 +112,7 @@ int main(int argc, char** argv) {
 
       std::optional<opt::ExactRepackingResult> ref, pipe;
       const double ref_ms = min_wall_ms(
-          reps, [&] { ref = opt::exact_opt_repacking_reference(in, ropts); });
+          reps, [&] { ref = oracles::exact_opt_repacking_reference(in, ropts); });
       const double pipe_ms =
           min_wall_ms(reps, [&] { pipe = opt::exact_opt_repacking(in, popts); });
       if (!ref || !pipe) {
@@ -224,7 +227,9 @@ int main(int argc, char** argv) {
   {
     std::ostringstream js;
     js << "{\n  \"bench\": \"bench_opt_pipeline\",\n  \"quick\": "
-       << (opts.quick ? "true" : "false") << ",\n  \"records\": [\n";
+       << (opts.quick ? "true" : "false")
+       << ",\n  \"nproc\": " << std::thread::hardware_concurrency()
+       << ",\n  \"records\": [\n";
     for (std::size_t i = 0; i < records.size(); ++i) {
       const PipelineRecord& r = records[i];
       js << "    {\"family\": \"" << json_escape(r.family)

@@ -1,10 +1,8 @@
 // Simulator hot-path throughput (E15): items/sec for FF/BF/WF/CDFF/HA
-// across n up to 1e7, for the three execution tiers:
+// across n up to 1e7, for the two ledger layouts:
 //
 //   soa        SoA ledger columns + flat active-item map (the data plane)
 //   reference  the original AoS ledger (the bit-identical oracle)
-//   linear     reference ledger + the seed per-arrival linear scan
-//              (O(n * B); only run at n <= --linear-max-n)
 //
 // plus two scale probes:
 //
@@ -21,13 +19,13 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "algos/any_fit.h"
@@ -173,13 +171,14 @@ RssProbe probe_rss(std::size_t n) {
   return probe;
 }
 
-void write_json(const std::string& path, bool quick, std::size_t linear_max_n,
+void write_json(const std::string& path, bool quick,
                 const std::vector<ThroughputRow>& rows, const RssProbe& rss,
                 const std::vector<ShardPoint>& sharded) {
   std::ofstream out(path);
   out << "{\n  \"bench\": \"simulator_hotpath\",\n  \"quick\": "
       << (quick ? "true" : "false")
-      << ",\n  \"linear_max_n\": " << linear_max_n << ",\n  \"throughput\": [";
+      << ",\n  \"nproc\": " << std::thread::hardware_concurrency()
+      << ",\n  \"throughput\": [";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ThroughputRow& r = rows[i];
     out << (i ? "," : "") << "\n    {\"algorithm\": \"" << r.algorithm
@@ -217,15 +216,9 @@ void write_json(const std::string& path, bool quick, std::size_t linear_max_n,
 
 int main(int argc, char** argv) {
   const auto opts = cdbp::bench::parse_options(argc, argv);
-  std::size_t linear_max_n = 100000;
   std::string json_path = "BENCH_HOTPATH.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--linear-max-n" && i + 1 < argc)
-      linear_max_n = static_cast<std::size_t>(std::atoll(argv[i + 1]));
-    else if (arg == "--json" && i + 1 < argc)
-      json_path = argv[i + 1];
-  }
+  for (int i = 1; i + 1 < argc; ++i)
+    if (std::string(argv[i]) == "--json") json_path = argv[i + 1];
 
   std::vector<std::size_t> sizes = {10000, 100000, 1000000};
   std::size_t rss_n = 10000000;
@@ -246,8 +239,7 @@ int main(int argc, char** argv) {
   std::vector<ThroughputRow> rows;
   std::cout << "== simulator hot path: items/sec by storage backend ==\n";
   report::Table table({"algorithm", "n", "soa items/s", "reference items/s",
-                       "soa speedup", "linear items/s", "vs linear",
-                       "cost equal"});
+                       "soa speedup", "cost equal"});
 
   for (const std::size_t n : sizes) {
     const Instance general = make_general(n);
@@ -256,62 +248,34 @@ int main(int argc, char** argv) {
     struct Entry {
       std::string label;
       std::string workload;
-      AlgorithmPtr indexed;
-      AlgorithmPtr linear;
+      AlgorithmPtr algo;
       const Instance* instance;
     };
     std::vector<Entry> entries;
+    entries.push_back({"FirstFit", "general",
+                       std::make_unique<algos::FirstFit>(), &general});
+    entries.push_back({"BestFit", "general",
+                       std::make_unique<algos::BestFit>(), &general});
+    entries.push_back({"WorstFit", "general",
+                       std::make_unique<algos::WorstFit>(), &general});
     entries.push_back(
-        {"FirstFit", "general", std::make_unique<algos::FirstFit>(),
-         std::make_unique<algos::FirstFit>(algos::SelectMode::kLinearScan),
-         &general});
+        {"CDFF", "aligned", std::make_unique<algos::Cdff>(), &aligned});
     entries.push_back(
-        {"BestFit", "general", std::make_unique<algos::BestFit>(),
-         std::make_unique<algos::BestFit>(algos::SelectMode::kLinearScan),
-         &general});
-    entries.push_back(
-        {"WorstFit", "general", std::make_unique<algos::WorstFit>(),
-         std::make_unique<algos::WorstFit>(algos::SelectMode::kLinearScan),
-         &general});
-    entries.push_back(
-        {"CDFF", "aligned", std::make_unique<algos::Cdff>(),
-         std::make_unique<algos::Cdff>(algos::FitRule::kFirst,
-                                       algos::SelectMode::kLinearScan),
-         &aligned});
-    entries.push_back(
-        {"HA", "general", std::make_unique<algos::Hybrid>(),
-         std::make_unique<algos::Hybrid>(&algos::Hybrid::paper_threshold,
-                                         "HA", algos::FitRule::kFirst,
-                                         algos::SelectMode::kLinearScan),
-         &general});
+        {"HA", "general", std::make_unique<algos::Hybrid>(), &general});
 
     for (Entry& e : entries) {
-      const Timed soa = run_once(*e.instance, *e.indexed,
-                                 LedgerStorage::kSoa);
-      const Timed ref = run_once(*e.instance, *e.indexed,
-                                 LedgerStorage::kReference);
+      const Timed soa = run_once(*e.instance, *e.algo, LedgerStorage::kSoa);
+      const Timed ref =
+          run_once(*e.instance, *e.algo, LedgerStorage::kReference);
       rows.push_back(
           {e.label, e.workload, e.instance->size(), "soa", soa});
       rows.push_back(
           {e.label, e.workload, e.instance->size(), "reference", ref});
-
-      std::string linear_cell = "-", vs_linear_cell = "-";
-      bool equal = soa.cost == ref.cost;
-      if (e.instance->size() <= linear_max_n) {
-        const Timed lin = run_once(*e.instance, *e.linear,
-                                   LedgerStorage::kReference);
-        rows.push_back(
-            {e.label, e.workload, e.instance->size(), "linear", lin});
-        linear_cell = human(lin.items_per_sec);
-        vs_linear_cell =
-            report::Table::num(soa.items_per_sec / lin.items_per_sec, 1) + "x";
-        equal = equal && soa.cost == lin.cost;
-      }
       table.add_row({e.label, std::to_string(e.instance->size()),
                      human(soa.items_per_sec), human(ref.items_per_sec),
                      report::Table::num(
                          soa.items_per_sec / ref.items_per_sec, 2) + "x",
-                     linear_cell, vs_linear_cell, equal ? "yes" : "NO"});
+                     soa.cost == ref.cost ? "yes" : "NO"});
     }
   }
 
@@ -326,12 +290,11 @@ int main(int argc, char** argv) {
                    human(soa.items_per_sec), human(ref.items_per_sec),
                    report::Table::num(
                        soa.items_per_sec / ref.items_per_sec, 2) + "x",
-                   "-", "-", soa.cost == ref.cost ? "yes" : "NO"});
+                   soa.cost == ref.cost ? "yes" : "NO"});
   }
   std::cout << table.to_string();
-  std::cout << "\n(linear reference capped at n <= " << linear_max_n
-            << " items [--linear-max-n]; 'cost equal' checks every backend "
-               "reproduces the same cost bit for bit)\n";
+  std::cout << "\n('cost equal' checks both layouts reproduce the same cost "
+               "bit for bit)\n";
 
   std::cout << "\n== streamed .cdbpi replay vs in-RAM instance, FirstFit/soa "
                "==\n";
@@ -403,7 +366,7 @@ int main(int argc, char** argv) {
     std::cout << shard_table.to_string();
   }
 
-  write_json(json_path, opts.quick, linear_max_n, rows, rss, shard_points);
+  write_json(json_path, opts.quick, rows, rss, shard_points);
   std::cout << "\nJSON written to " << json_path << "\n";
   return 0;
 }

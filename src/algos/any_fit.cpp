@@ -46,40 +46,6 @@ std::string to_string(FitRule rule) {
   throw std::invalid_argument("unknown FitRule");
 }
 
-BinId pick_bin(const Ledger& ledger, const std::vector<BinId>& candidates,
-               Load size, FitRule rule) {
-  BinId chosen = kNoBin;
-  switch (rule) {
-    case FitRule::kFirst:
-      for (BinId b : candidates)
-        if (ledger.fits(b, size)) return b;
-      return kNoBin;
-    case FitRule::kNext:
-      if (!candidates.empty() && ledger.fits(candidates.back(), size))
-        return candidates.back();
-      return kNoBin;
-    case FitRule::kBest: {
-      Load best_load = -1.0;
-      for (BinId b : candidates)
-        if (ledger.fits(b, size) && ledger.load(b) > best_load) {
-          best_load = ledger.load(b);
-          chosen = b;
-        }
-      return chosen;
-    }
-    case FitRule::kWorst: {
-      Load best_load = 2.0;
-      for (BinId b : candidates)
-        if (ledger.fits(b, size) && ledger.load(b) < best_load) {
-          best_load = ledger.load(b);
-          chosen = b;
-        }
-      return chosen;
-    }
-  }
-  throw std::invalid_argument("unknown FitRule");
-}
-
 BinId pick_bin_indexed(const Ledger& ledger, PoolId pool, Load size,
                        FitRule rule) {
   switch (rule) {
@@ -98,14 +64,8 @@ BinId pick_bin_indexed(const Ledger& ledger, PoolId pool, Load size,
 }
 
 BinId AnyFit::on_arrival(const Item& item, Ledger& ledger) {
-  BinId bin = kNoBin;
-  if (mode_ == SelectMode::kIndexed) {
-    // All AnyFit bins live in pool 0.
-    bin = pick_bin_indexed(ledger, /*pool=*/0, item.size, rule_);
-  } else {
-    ledger.open_bins_into(scratch_);
-    bin = pick_bin(ledger, scratch_, item.size, rule_);
-  }
+  // All AnyFit bins live in pool 0.
+  BinId bin = pick_bin_indexed(ledger, /*pool=*/0, item.size, rule_);
   const bool opened = bin == kNoBin;
   if (opened) bin = ledger.open_bin(item.arrival);
   ledger.place(item.id, item.size, bin, item.arrival);

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "core/algorithm.h"
 #include "core/checkpoint.h"
@@ -21,24 +20,12 @@ enum class FitRule {
 
 [[nodiscard]] std::string to_string(FitRule rule);
 
-/// How an algorithm resolves its fit rule against the ledger.
-///  * kIndexed    — O(log B) per arrival via the ledger's capacity index
-///                  (the default; selects bit-identical bins);
-///  * kLinearScan — the seed O(B) scan over a materialized candidate list,
-///                  kept as the behavioral reference for equivalence tests
-///                  and before/after benchmarks.
-enum class SelectMode {
-  kIndexed,
-  kLinearScan,
-};
-
 /// Generic Any-Fit algorithm over a single pool of bins. The family keeps
 /// no per-run state of its own (every decision reads the ledger), so it is
 /// trivially Checkpointable: restoring the ledger restores the algorithm.
 class AnyFit : public Algorithm, public Checkpointable {
  public:
-  explicit AnyFit(FitRule rule, SelectMode mode = SelectMode::kIndexed)
-      : rule_(rule), mode_(mode) {}
+  explicit AnyFit(FitRule rule) : rule_(rule) {}
 
   [[nodiscard]] std::string name() const override {
     return to_string(rule_) + "Fit";
@@ -50,51 +37,38 @@ class AnyFit : public Algorithm, public Checkpointable {
   void load_state(StateReader& r) override { (void)r; }
 
   [[nodiscard]] FitRule rule() const noexcept { return rule_; }
-  [[nodiscard]] SelectMode mode() const noexcept { return mode_; }
 
  private:
   FitRule rule_;
-  SelectMode mode_;
-  std::vector<BinId> scratch_;  ///< linear-scan candidate buffer, reused
 };
 
-/// Picks a bin from `candidates` (opening order) according to `rule`, or
-/// kNoBin when none fits, by linear scan — the seed reference
-/// implementation all indexed selection is checked against. Shared by the
-/// classify-style algorithms' kLinearScan mode.
-[[nodiscard]] BinId pick_bin(const Ledger& ledger,
-                             const std::vector<BinId>& candidates, Load size,
-                             FitRule rule);
-
-/// Indexed counterpart: picks from the ledger pool `pool` in O(log B).
-/// Selects the same bin as pick_bin over the pool's open bins in opening
-/// order (equivalence locked by tests/integration/equivalence_test.cpp).
+/// Picks a bin of the ledger pool `pool` according to `rule` in O(log B),
+/// or kNoBin when none fits. Every algorithm selects through this. It picks
+/// the same bin as the seed linear scan over the pool's open bins in
+/// opening order; that scan lives in tests/oracles (oracles::pick_bin), and
+/// SelectionEquivalence checks the two agree at every arrival of real runs.
 [[nodiscard]] BinId pick_bin_indexed(const Ledger& ledger, PoolId pool,
                                      Load size, FitRule rule);
 
 /// Convenience concrete types.
 class FirstFit final : public AnyFit {
  public:
-  explicit FirstFit(SelectMode mode = SelectMode::kIndexed)
-      : AnyFit(FitRule::kFirst, mode) {}
+  FirstFit() : AnyFit(FitRule::kFirst) {}
 };
 
 class BestFit final : public AnyFit {
  public:
-  explicit BestFit(SelectMode mode = SelectMode::kIndexed)
-      : AnyFit(FitRule::kBest, mode) {}
+  BestFit() : AnyFit(FitRule::kBest) {}
 };
 
 class NextFit final : public AnyFit {
  public:
-  explicit NextFit(SelectMode mode = SelectMode::kIndexed)
-      : AnyFit(FitRule::kNext, mode) {}
+  NextFit() : AnyFit(FitRule::kNext) {}
 };
 
 class WorstFit final : public AnyFit {
  public:
-  explicit WorstFit(SelectMode mode = SelectMode::kIndexed)
-      : AnyFit(FitRule::kWorst, mode) {}
+  WorstFit() : AnyFit(FitRule::kWorst) {}
 };
 
 }  // namespace cdbp::algos

@@ -27,6 +27,9 @@ class BusyPeriodReset : public Algorithm {
     return inner_->name() + "/per-busy-period";
   }
 
+  // No check_arrival override: whether the inner algorithm is reset
+  // depends on the departures drained before the arrival, so the inner
+  // check cannot be asked ahead of them.
   BinId on_arrival(const Item& item, Ledger& ledger) override {
     if (ledger.active_items() == 0) {
       inner_->reset();

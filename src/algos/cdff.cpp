@@ -32,7 +32,7 @@ std::int64_t to_integer_time(Time t, const char* what) {
 
 }  // namespace
 
-Cdff::Cdff(FitRule rule, SelectMode mode) : rule_(rule), mode_(mode) {}
+Cdff::Cdff(FitRule rule) : rule_(rule) {}
 
 int Cdff::m_of(Time t) const {
   if (t == seg_start_) return seg_n_;
@@ -41,16 +41,30 @@ int Cdff::m_of(Time t) const {
   return trailing_zeros(static_cast<std::uint64_t>(rel));
 }
 
-BinId Cdff::on_arrival(const Item& item, Ledger& ledger) {
-  const std::int64_t t = to_integer_time(item.arrival, "arrival");
+bool Cdff::starts_segment(Time arrival) const {
+  return !in_segment_ || arrival >= seg_start_ + pow2(seg_n_);
+}
+
+void Cdff::check_arrival(const Item& item) const {
+  (void)to_integer_time(item.arrival, "arrival");
   const int bucket = aligned_bucket(item.length());
   if (!is_multiple_of_pow2(item.arrival, bucket))
     throw std::invalid_argument(
         "CDFF: arrival not a multiple of 2^bucket — input is not aligned");
+  // A segment's opening instant admits every bucket (the horizon grows to
+  // fit it); later instants admit buckets up to m_t.
+  if (starts_segment(item.arrival) || item.arrival == seg_start_) return;
+  if (bucket > m_of(item.arrival))
+    throw std::invalid_argument(
+        "CDFF: bucket exceeds m_t — input is not aligned within segment");
+}
+
+BinId Cdff::on_arrival(const Item& item, Ledger& ledger) {
+  check_arrival(item);
+  const int bucket = aligned_bucket(item.length());
 
   // --- Segmentation -------------------------------------------------------
-  if (!in_segment_ ||
-      item.arrival >= seg_start_ + pow2(seg_n_)) {  // new segment
+  if (starts_segment(item.arrival)) {
     if (in_segment_ && !rows_.empty())
       throw std::logic_error(
           "CDFF: previous segment still has open bins at a new segment "
@@ -64,20 +78,14 @@ BinId Cdff::on_arrival(const Item& item, Ledger& ledger) {
     // Still inside the opening instant: the horizon may grow.
     seg_n_ = std::max(seg_n_, bucket);
   }
-  (void)t;
 
   const int m = m_of(item.arrival);
-  if (bucket > m)
-    throw std::invalid_argument(
-        "CDFF: bucket exceeds m_t — input is not aligned within segment");
 
   // Row key (see header): delta = i + (n - m_t); equals i at segment start.
   const int delta = bucket + (seg_n_ - m);
 
   std::vector<BinId>& row = rows_[delta];
-  BinId bin = mode_ == SelectMode::kIndexed
-                  ? pick_bin_indexed(ledger, /*pool=*/delta, item.size, rule_)
-                  : pick_bin(ledger, row, item.size, rule_);
+  BinId bin = pick_bin_indexed(ledger, /*pool=*/delta, item.size, rule_);
   const bool opened = bin == kNoBin;
   if (opened) {
     bin = ledger.open_bin(item.arrival, /*group=*/delta);

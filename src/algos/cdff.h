@@ -38,13 +38,15 @@ namespace cdbp::algos {
 
 class Cdff : public Algorithm, public Checkpointable {
  public:
-  explicit Cdff(FitRule rule = FitRule::kFirst,
-                SelectMode mode = SelectMode::kIndexed);
+  explicit Cdff(FitRule rule = FitRule::kFirst);
 
   [[nodiscard]] std::string name() const override { return "CDFF"; }
 
   /// Throws std::invalid_argument if the stream is not aligned (non-integer
-  /// arrival, or arrival not a multiple of 2^bucket after rebasing).
+  /// arrival, or arrival not a multiple of 2^bucket after rebasing). Reads
+  /// only the item and the segment state, which departures never change.
+  void check_arrival(const Item& item) const override;
+  /// Refuses what check_arrival refuses.
   BinId on_arrival(const Item& item, Ledger& ledger) override;
   void on_departure(const Item& item, BinId bin, bool bin_closed,
                     Ledger& ledger) override;
@@ -76,9 +78,10 @@ class Cdff : public Algorithm, public Checkpointable {
  private:
   /// m_t for arrival time t within the current segment.
   [[nodiscard]] int m_of(Time t) const;
+  /// Whether an item arriving at `arrival` opens a new segment.
+  [[nodiscard]] bool starts_segment(Time arrival) const;
 
   FitRule rule_;
-  SelectMode mode_;
 
   // Segment state.
   bool in_segment_ = false;

@@ -20,8 +20,8 @@ obs::Tracer& g_tracer = obs::Tracer::global();
 }  // namespace
 
 ClassifyByDuration::ClassifyByDuration(double base, FitRule rule,
-                                       double shift, SelectMode mode)
-    : base_(base), rule_(rule), shift_(shift), mode_(mode) {
+                                       double shift)
+    : base_(base), rule_(rule), shift_(shift) {
   if (!(base > 1.0))
     throw std::invalid_argument("ClassifyByDuration: base must be > 1");
   set_shift(shift);
@@ -55,9 +55,7 @@ int ClassifyByDuration::class_of(Time length) const {
 BinId ClassifyByDuration::on_arrival(const Item& item, Ledger& ledger) {
   const int k = class_of(item.length());
   std::vector<BinId>& bins = class_bins_[k];
-  BinId bin = mode_ == SelectMode::kIndexed
-                  ? pick_bin_indexed(ledger, /*pool=*/k, item.size, rule_)
-                  : pick_bin(ledger, bins, item.size, rule_);
+  BinId bin = pick_bin_indexed(ledger, /*pool=*/k, item.size, rule_);
   const bool opened = bin == kNoBin;
   if (opened) {
     bin = ledger.open_bin(item.arrival, /*group=*/k);

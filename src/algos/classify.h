@@ -31,8 +31,7 @@ class ClassifyByDuration : public Algorithm, public Checkpointable {
   /// almost-double window); a shifted grid dodges that placement.
   explicit ClassifyByDuration(double base = 2.0,
                               FitRule rule = FitRule::kFirst,
-                              double shift = 0.0,
-                              SelectMode mode = SelectMode::kIndexed);
+                              double shift = 0.0);
 
   [[nodiscard]] std::string name() const override;
 
@@ -59,7 +58,6 @@ class ClassifyByDuration : public Algorithm, public Checkpointable {
   double base_;
   FitRule rule_;
   double shift_;
-  SelectMode mode_;
   // Open bins per class, in opening order.
   std::unordered_map<int, std::vector<BinId>> class_bins_;
   std::unordered_map<BinId, int> bin_class_;

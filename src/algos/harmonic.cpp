@@ -1,12 +1,10 @@
 #include "algos/harmonic.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace cdbp::algos {
 
-HarmonicFit::HarmonicFit(int classes, SelectMode mode)
-    : classes_(classes), mode_(mode) {
+HarmonicFit::HarmonicFit(int classes) : classes_(classes) {
   if (classes < 1)
     throw std::invalid_argument("HarmonicFit: classes must be >= 1");
 }
@@ -23,37 +21,16 @@ int HarmonicFit::class_of(Load size) const {
   return classes_;
 }
 
+void HarmonicFit::check_arrival(const Item& item) const {
+  (void)class_of(item.size);
+}
+
 BinId HarmonicFit::on_arrival(const Item& item, Ledger& ledger) {
   const int k = class_of(item.size);
-  std::vector<BinId>& bins = class_bins_[k];
-  BinId bin = mode_ == SelectMode::kIndexed
-                  ? pick_bin_indexed(ledger, /*pool=*/k, item.size,
-                                     FitRule::kFirst)
-                  : pick_bin(ledger, bins, item.size, FitRule::kFirst);
-  if (bin == kNoBin) {
-    bin = ledger.open_bin(item.arrival, /*group=*/k);
-    bins.push_back(bin);
-    bin_class_.emplace(bin, k);
-  }
+  BinId bin = pick_bin_indexed(ledger, /*pool=*/k, item.size, FitRule::kFirst);
+  if (bin == kNoBin) bin = ledger.open_bin(item.arrival, /*group=*/k);
   ledger.place(item.id, item.size, bin, item.arrival);
   return bin;
-}
-
-void HarmonicFit::on_departure(const Item& item, BinId bin, bool bin_closed,
-                               Ledger& ledger) {
-  (void)item;
-  (void)ledger;
-  if (!bin_closed) return;
-  const auto it = bin_class_.find(bin);
-  if (it == bin_class_.end()) return;
-  std::vector<BinId>& bins = class_bins_[it->second];
-  bins.erase(std::remove(bins.begin(), bins.end(), bin), bins.end());
-  bin_class_.erase(it);
-}
-
-void HarmonicFit::reset() {
-  class_bins_.clear();
-  bin_class_.clear();
 }
 
 }  // namespace cdbp::algos

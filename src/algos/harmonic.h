@@ -12,8 +12,6 @@
 #pragma once
 
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "algos/any_fit.h"
 #include "core/algorithm.h"
@@ -24,15 +22,13 @@ class HarmonicFit : public Algorithm {
  public:
   /// `classes` = K >= 1: size classes (1/2,1], (1/3,1/2], ..., plus the
   /// catch-all (0, 1/K].
-  explicit HarmonicFit(int classes = 8,
-                       SelectMode mode = SelectMode::kIndexed);
+  explicit HarmonicFit(int classes = 8);
 
   [[nodiscard]] std::string name() const override;
 
+  /// Refuses a size class_of refuses (size 0 included).
+  void check_arrival(const Item& item) const override;
   BinId on_arrival(const Item& item, Ledger& ledger) override;
-  void on_departure(const Item& item, BinId bin, bool bin_closed,
-                    Ledger& ledger) override;
-  void reset() override;
 
   /// Size class of a load: k for size in (1/(k+1), 1/k] with k < K, else K
   /// (catch-all).
@@ -40,9 +36,6 @@ class HarmonicFit : public Algorithm {
 
  private:
   int classes_;
-  SelectMode mode_;
-  std::unordered_map<int, std::vector<BinId>> class_bins_;
-  std::unordered_map<BinId, int> bin_class_;
 };
 
 }  // namespace cdbp::algos

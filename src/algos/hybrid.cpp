@@ -34,12 +34,8 @@ void trace_place(const Item& item, BinId bin, const char* path,
 
 }  // namespace
 
-Hybrid::Hybrid(Threshold threshold, std::string label, FitRule rule,
-               SelectMode mode)
-    : threshold_(std::move(threshold)),
-      label_(std::move(label)),
-      rule_(rule),
-      mode_(mode) {
+Hybrid::Hybrid(Threshold threshold, std::string label, FitRule rule)
+    : threshold_(std::move(threshold)), label_(std::move(label)), rule_(rule) {
   if (!threshold_) throw std::invalid_argument("Hybrid: null threshold");
 }
 
@@ -64,9 +60,7 @@ BinId Hybrid::on_arrival(const Item& item, Ledger& ledger) {
   // Step 1: an open CD bin for this type captures the item.
   if (auto it = cd_bins_.find(type);
       it != cd_bins_.end() && !it->second.empty()) {
-    BinId bin = mode_ == SelectMode::kIndexed
-                    ? pick_bin_indexed(ledger, cd_pool(type), item.size, rule_)
-                    : pick_bin(ledger, it->second, item.size, rule_);
+    BinId bin = pick_bin_indexed(ledger, cd_pool(type), item.size, rule_);
     const bool opened = bin == kNoBin;
     if (opened) {
       bin = ledger.open_bin(item.arrival, kHybridGroupCD, cd_pool(type));
@@ -95,9 +89,7 @@ BinId Hybrid::on_arrival(const Item& item, Ledger& ledger) {
   }
 
   // Step 3: light type -> shared GN pool.
-  BinId bin = mode_ == SelectMode::kIndexed
-                  ? pick_bin_indexed(ledger, kHybridGroupGN, item.size, rule_)
-                  : pick_bin(ledger, gn_bins_, item.size, rule_);
+  BinId bin = pick_bin_indexed(ledger, kHybridGroupGN, item.size, rule_);
   const bool opened = bin == kNoBin;
   if (opened) {
     bin = ledger.open_bin(item.arrival, kHybridGroupGN);

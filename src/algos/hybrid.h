@@ -45,8 +45,7 @@ class Hybrid : public Algorithm, public Checkpointable {
 
   explicit Hybrid(Threshold threshold = &Hybrid::paper_threshold,
                   std::string label = "HA",
-                  FitRule rule = FitRule::kFirst,
-                  SelectMode mode = SelectMode::kIndexed);
+                  FitRule rule = FitRule::kFirst);
 
   [[nodiscard]] std::string name() const override { return label_; }
 
@@ -81,7 +80,6 @@ class Hybrid : public Algorithm, public Checkpointable {
   Threshold threshold_;
   std::string label_;
   FitRule rule_;
-  SelectMode mode_;
 
   std::unordered_map<DurationType, double> active_load_;
   std::unordered_map<DurationType, PoolId> type_pool_;

@@ -23,6 +23,13 @@ class Algorithm {
   /// Display name, e.g. "HA" or "FirstFit".
   [[nodiscard]] virtual std::string name() const = 0;
 
+  /// Throws std::invalid_argument if on_arrival would refuse `item` in the
+  /// current state. Must not depend on anything a departure changes: an
+  /// InteractiveSession calls it before it processes the departures due
+  /// by `item.arrival`, so a refused offer changes no state. Default:
+  /// accept every item.
+  virtual void check_arrival(const Item& item) const { (void)item; }
+
   /// Called at the item's arrival time. In the clairvoyant setting the
   /// item's departure field is valid; non-clairvoyant algorithms must not
   /// read it (see NonClairvoyant adapter in algos/first_fit.h).

@@ -19,8 +19,9 @@
 //
 // Closed bins keep their slot but are parked at kClosedLoad, a sentinel
 // above any admissible load, so they can never be selected. Tie-breaking
-// is bit-identical to the seed linear scans in algos::pick_bin (earliest
-// opened wins), which the integration equivalence tests lock in.
+// is bit-identical to the seed linear scan (earliest opened wins), which
+// lives in tests/oracles/select.h; SelectionEquivalence checks the two
+// agree at every arrival of real runs.
 #pragma once
 
 #include <cstddef>
@@ -65,8 +66,8 @@ class BinCapacityIndex {
     return open_count_;
   }
 
-  /// Open bins in opening order. O(slots ever added) — for reporting and
-  /// the linear-scan reference paths, not for per-arrival use.
+  /// Open bins in opening order. O(slots ever added) — for reporting, not
+  /// for per-arrival use.
   [[nodiscard]] std::vector<BinId> open_bins() const;
 
   /// open_bins() into a caller-owned buffer (cleared first): no per-call

@@ -128,7 +128,7 @@ class Ledger {
 
   // --- O(log B) capacity-indexed selection (incrementally maintained by
   // open_bin/place/remove; see core/bin_index.h). Tie-breaking matches the
-  // seed linear scans of algos::pick_bin bit for bit.
+  // seed linear scan in tests/oracles/select.h bit for bit.
 
   /// Earliest-opened open bin in `pool` admitting `size`; kNoBin if none.
   [[nodiscard]] BinId first_fit(PoolId pool, Load size) const;
@@ -142,7 +142,7 @@ class Ledger {
   [[nodiscard]] BinId newest_open_in_pool(PoolId pool) const;
 
   /// Open bins of one pool, in opening order. O(bins ever opened in the
-  /// pool) — reporting / linear-reference use only.
+  /// pool) — reporting use only.
   [[nodiscard]] std::vector<BinId> open_bins_in_pool(PoolId pool) const;
   void open_bins_in_pool_into(PoolId pool, std::vector<BinId>& out) const;
   /// O(1).

@@ -35,10 +35,12 @@ BinId InteractiveSession::offer(Time arrival, Time departure, Load size) {
     throw std::invalid_argument(
         "InteractiveSession: size must be finite, >= 0 and fit an empty "
         "bin");
+  const Item item{next_id_, arrival, departure, size};
+  algo_->check_arrival(item);
   drain_until(arrival);
   clock_ = arrival;
+  ++next_id_;
 
-  const Item item{next_id_++, arrival, departure, size};
   const BinId bin = algo_->on_arrival(item, ledger_);
   if (ledger_.bin_of(item.id) != bin)
     throw std::logic_error(

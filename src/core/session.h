@@ -28,8 +28,10 @@ class InteractiveSession {
   /// of items offered before it.
   /// Throws std::invalid_argument, without mutating any state, on an
   /// out-of-order arrival (before the session clock), a departure <=
-  /// arrival, or a size that is not valid_item_size (not finite, negative,
-  /// or too large for an empty bin).
+  /// arrival, a size that is not valid_item_size (not finite, negative,
+  /// or too large for an empty bin), or an item the algorithm refuses
+  /// (Algorithm::check_arrival, e.g. CDFF on an unaligned arrival), all
+  /// checked before any departure is processed or any id is used up.
   BinId offer(Time arrival, Time departure, Load size);
 
   /// Advances the clock to `t`, processing departures with time <= t.

@@ -4,10 +4,10 @@
 // admissible lookahead bound it certifies instances up to the ~18-item
 // default (the pre-optimization ceiling was ~13).
 //
-// The optimized engine keeps three invariants-driven shortcuts, none of
-// which can change the optimum or the reported assignment (every pruned
-// subtree provably contains no improving leaf, so the incumbent-update
-// sequence is the reference's):
+// The search takes three invariants-driven shortcuts, none of which can
+// change the optimum or the reported assignment (every pruned subtree
+// provably contains no improving leaf, so the incumbent-update sequence is
+// the plain search's):
 //   * items are placed in arrival order, so a bin's load on
 //     [r.arrival, inf) is non-increasing — the capacity probe collapses to
 //     one lookup at r.arrival, answered in O(log m) from a
@@ -20,8 +20,8 @@
 //     compute_bounds().lower(), no strict improvement can exist and the
 //     search stops.
 //
-// ExactEngine::kReference preserves the original search verbatim as the
-// equivalence oracle (same precedent as exact_opt_repacking_reference).
+// The original search without these shortcuts is the equivalence oracle,
+// oracles::exact_opt_nonrepacking_reference in tests/oracles.
 #pragma once
 
 #include <cstddef>
@@ -38,15 +38,9 @@ struct ExactResult {
   std::size_t nodes_explored = 0;
 };
 
-enum class ExactEngine {
-  kOptimized,  ///< envelope fits + admissible lookahead (default)
-  kReference,  ///< the original O(m^2)-probe search, kept as oracle
-};
-
 struct ExactOptions {
   std::size_t max_items = 18;            ///< refuse larger instances
   std::size_t node_limit = 200'000'000;  ///< safety valve
-  ExactEngine engine = ExactEngine::kOptimized;
 };
 
 /// Computes OPT_NR exactly. Returns nullopt if the instance exceeds
@@ -59,8 +53,8 @@ struct ExactOptions {
 /// span accounting would bill the gap between them — the historical seed
 /// skipped the guard and could overstate its own cost). The returned cost
 /// is therefore exactly the summed support measure of the produced bins —
-/// the incumbent the optimized engine seeds its search with (the reference
-/// engine keeps the historical seed, verbatim).
+/// the incumbent the search starts from (the reference search in
+/// tests/oracles keeps the historical seed, verbatim).
 struct GreedySeed {
   Cost cost = 0.0;
   std::vector<int> assignment;

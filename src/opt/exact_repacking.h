@@ -20,9 +20,9 @@
 // counts over the interval list in time order — the same accumulation
 // order as the sequential reference, so costs agree bit for bit.
 //
-// exact_opt_repacking_reference keeps the original sequential algorithm
-// (exact-double std::map memo, solve-on-first-use) as the equivalence
-// oracle, mirroring the SelectMode::kLinearScan precedent from PR 1.
+// The original sequential algorithm (exact-double std::map memo,
+// solve-on-first-use) is the equivalence oracle in
+// tests/oracles/opt_reference.h.
 #pragma once
 
 #include <cstddef>
@@ -67,12 +67,5 @@ struct ExactRepackingOptions {
 /// or its bin-packing search hits the node limit.
 [[nodiscard]] std::optional<ExactRepackingResult> exact_opt_repacking(
     const Instance& instance, const ExactRepackingOptions& options = {});
-
-/// The original sequential implementation, kept verbatim as the
-/// equivalence oracle for tests and the E17 before/after benchmark.
-/// Ignores options.threads/options.cache.
-[[nodiscard]] std::optional<ExactRepackingResult>
-exact_opt_repacking_reference(const Instance& instance,
-                              const ExactRepackingOptions& options = {});
 
 }  // namespace cdbp::opt

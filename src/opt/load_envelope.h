@@ -17,7 +17,9 @@
 //
 // Occupancy deltas are +/-1.0, so occupancy values and the span arithmetic
 // are exact; load values reproduce the StepFunction's accumulation and
-// feed the usual kLoadEps-tolerant capacity checks.
+// feed the usual kLoadEps-tolerant capacity checks. The StepFunction-copy
+// probes survive only as the equivalence oracles in tests/oracles
+// (offline_ffd_by_length_reference, improve_packing_reference).
 #pragma once
 
 #include <cstddef>
@@ -27,13 +29,6 @@
 #include "core/step_function.h"
 
 namespace cdbp::opt {
-
-/// Which feasibility/span machinery the offline packers use. kReference
-/// keeps the original StepFunction-copy probes as the equivalence oracle.
-enum class FitEngine {
-  kEnvelope,   ///< BinProfile flat envelopes (default)
-  kReference,  ///< historical per-probe StepFunction rebuilds
-};
 
 /// Mutable bin contents with lazily rebuilt flat envelopes. Copyable;
 /// `items` must outlive the profile.

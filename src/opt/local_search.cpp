@@ -4,7 +4,6 @@
 #include <map>
 #include <stdexcept>
 
-#include "core/step_function.h"
 #include "opt/load_envelope.h"
 #include "opt/offline_ffd.h"
 
@@ -12,103 +11,10 @@ namespace cdbp::opt {
 
 namespace {
 
-/// Reference bin state: members + load profile, span recomputed on demand
-/// via fresh StepFunctions (the historical engine).
-struct LsBin {
-  std::vector<std::size_t> members;
-
-  [[nodiscard]] StepFunction load(const std::vector<Item>& items) const {
-    StepFunction f;
-    for (std::size_t m : members)
-      f.add(items[m].arrival, items[m].departure, items[m].size);
-    return f;
-  }
-
-  [[nodiscard]] double span(const std::vector<Item>& items) const {
-    StepFunction f;
-    for (std::size_t m : members)
-      f.add(items[m].arrival, items[m].departure, 1.0);
-    return f.support_measure(0.5);
-  }
-
-  [[nodiscard]] bool fits(const std::vector<Item>& items,
-                          const Item& r) const {
-    StepFunction f = load(items);
-    f.add(r.arrival, r.departure, r.size);
-    return f.max_value() <= kBinCapacity + kLoadEps;
-  }
-};
-
-LocalSearchResult improve_reference(const std::vector<Item>& items,
-                                    std::vector<LsBin> bins,
-                                    std::vector<int> assignment,
-                                    const LocalSearchOptions& options) {
-  LocalSearchResult result;
-  auto bin_span = [&](std::size_t b) { return bins[b].span(items); };
-
-  bool improved = true;
-  while (improved && result.rounds < options.max_rounds &&
-         result.moves < options.max_moves) {
-    improved = false;
-    ++result.rounds;
-    for (std::size_t k = 0; k < items.size(); ++k) {
-      const auto from = static_cast<std::size_t>(assignment[k]);
-      // Cost of removing k from its bin.
-      const double span_from_before = bin_span(from);
-      auto& from_members = bins[from].members;
-      from_members.erase(
-          std::find(from_members.begin(), from_members.end(), k));
-      const double span_from_after = bin_span(from);
-      const double gain = span_from_before - span_from_after;
-
-      // Best target: the bin whose span grows least.
-      std::size_t best_to = from;
-      double best_delta = span_from_before - span_from_after;  // back home
-      for (std::size_t to = 0; to < bins.size(); ++to) {
-        if (to == from) continue;
-        if (!bins[to].fits(items, items[k])) continue;
-        const double before = bin_span(to);
-        bins[to].members.push_back(k);
-        const double after = bin_span(to);
-        bins[to].members.pop_back();
-        const double delta = after - before;
-        if (delta < best_delta - 1e-9) {
-          best_delta = delta;
-          best_to = to;
-        }
-      }
-      bins[best_to].members.push_back(k);
-      assignment[k] = static_cast<int>(best_to);
-      if (best_to != from && best_delta < gain - 1e-12) {
-        ++result.moves;
-        improved = true;
-        if (result.moves >= options.max_moves) break;
-      }
-    }
-    // Drop emptied bins (compact indices).
-    std::vector<LsBin> kept;
-    std::vector<int> remap(bins.size(), -1);
-    for (std::size_t b = 0; b < bins.size(); ++b) {
-      if (bins[b].members.empty()) continue;
-      remap[b] = static_cast<int>(kept.size());
-      kept.push_back(std::move(bins[b]));
-    }
-    bins = std::move(kept);
-    for (std::size_t k = 0; k < items.size(); ++k)
-      assignment[k] = remap[static_cast<std::size_t>(assignment[k])];
-  }
-
-  result.assignment = assignment;
-  result.cost = 0.0;
-  for (std::size_t b = 0; b < bins.size(); ++b) result.cost += bin_span(b);
-  return result;
-}
-
-/// Envelope engine: identical move selection, but span deltas come from
-/// BinProfile measure queries instead of full profile rebuilds —
-/// removing k shrinks its bin's span by exactly the time k is the only
-/// member, inserting it grows the target by exactly the time the target
-/// is idle inside I(k).
+/// Single-item relocations. Span deltas come from BinProfile measure
+/// queries instead of full profile rebuilds — removing k shrinks its bin's
+/// span by exactly the time k is the only member, inserting it grows the
+/// target by exactly the time the target is idle inside I(k).
 LocalSearchResult improve_envelope(const std::vector<Item>& items,
                                    std::vector<BinProfile> bins,
                                    std::vector<int> assignment,
@@ -191,17 +97,6 @@ LocalSearchResult improve_packing(const Instance& instance,
     groups.push_back(std::move(members));
   }
 
-  if (options.engine == FitEngine::kReference) {
-    std::vector<LsBin> bins;
-    bins.reserve(groups.size());
-    for (auto& g : groups) bins.push_back(LsBin{std::move(g)});
-    for (const LsBin& bin : bins)
-      if (bin.load(items).max_value() > kBinCapacity + 2 * kLoadEps)
-        throw std::invalid_argument("improve_packing: infeasible seed");
-    return improve_reference(items, std::move(bins), std::move(assignment),
-                             options);
-  }
-
   std::vector<BinProfile> bins;
   bins.reserve(groups.size());
   for (auto& g : groups) {
@@ -217,10 +112,7 @@ LocalSearchResult improve_packing(const Instance& instance,
 
 LocalSearchResult local_search_opt_nr(const Instance& instance,
                                       const LocalSearchOptions& options) {
-  const OfflineResult seed = offline_ffd_by_length(
-      instance, options.engine == FitEngine::kReference
-                    ? FitEngine::kReference
-                    : FitEngine::kEnvelope);
+  const OfflineResult seed = offline_ffd_by_length(instance);
   return improve_packing(instance, seed.assignment, options);
 }
 

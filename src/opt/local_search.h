@@ -3,13 +3,17 @@
 // between bins while the total usage time strictly decreases. The result
 // is a feasible packing, so its cost is a tighter certified upper bound on
 // OPT_NR than the seed — used wherever ratio denominators matter.
+//
+// Span deltas and capacity probes are answered from BinProfile envelopes
+// (opt/load_envelope.h) in O(log m). The historical full-rebuild
+// StepFunction scans are the equivalence oracle in tests/oracles
+// (oracles::improve_packing_reference, local_search_opt_nr_reference).
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "core/instance.h"
-#include "opt/load_envelope.h"
 
 namespace cdbp::opt {
 
@@ -23,9 +27,6 @@ struct LocalSearchResult {
 struct LocalSearchOptions {
   std::size_t max_rounds = 16;   ///< full improvement passes
   std::size_t max_moves = 5000;  ///< accepted-move budget
-  /// kEnvelope answers span deltas and capacity probes from BinProfile in
-  /// O(log m); kReference keeps the historical full-rebuild scans.
-  FitEngine engine = FitEngine::kEnvelope;
 };
 
 /// Improves `seed_assignment` (item -> bin; -1 entries are invalid) by

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/instance.h"
-#include "opt/load_envelope.h"
 
 namespace cdbp::opt {
 
@@ -23,11 +22,11 @@ struct OfflineResult {
   std::vector<int> assignment;  ///< item id -> bin index
 };
 
-/// FFD by duration, see file comment. With the default envelope engine a
-/// probe is O(log |members|) after an amortized rebuild per placement;
-/// FitEngine::kReference keeps the historical O(n^2 * max-bin-size) scans.
-[[nodiscard]] OfflineResult offline_ffd_by_length(
-    const Instance& instance, FitEngine engine = FitEngine::kEnvelope);
+/// FFD by duration, see file comment. A probe is O(log |members|) after an
+/// amortized rebuild per placement (opt/load_envelope.h); the historical
+/// O(n^2 * max-bin-size) StepFunction scans are the equivalence oracle,
+/// oracles::offline_ffd_by_length_reference in tests/oracles.
+[[nodiscard]] OfflineResult offline_ffd_by_length(const Instance& instance);
 
 /// Best certified upper bound on OPT_R available in this repo:
 /// min(repack witness, 2*ceil-integral, 2d + 2span). Also >= LB trivially.

@@ -4,6 +4,7 @@
 
 #include "core/simulator.h"
 #include "core/validation.h"
+#include "oracles/select.h"
 #include "test_util.h"
 
 namespace cdbp {
@@ -103,14 +104,14 @@ TEST(AnyFit, PickBinHonorsCandidateOrder) {
   ledger.place(0, 0.5, a, 0.0);
   ledger.place(1, 0.2, b, 0.0);
   // First: a (earliest). Best: a (fullest). Worst: b.
-  EXPECT_EQ(algos::pick_bin(ledger, {a, b}, 0.3, algos::FitRule::kFirst), a);
-  EXPECT_EQ(algos::pick_bin(ledger, {a, b}, 0.3, algos::FitRule::kBest), a);
-  EXPECT_EQ(algos::pick_bin(ledger, {a, b}, 0.3, algos::FitRule::kWorst), b);
+  EXPECT_EQ(oracles::pick_bin(ledger, {a, b}, 0.3, algos::FitRule::kFirst), a);
+  EXPECT_EQ(oracles::pick_bin(ledger, {a, b}, 0.3, algos::FitRule::kBest), a);
+  EXPECT_EQ(oracles::pick_bin(ledger, {a, b}, 0.3, algos::FitRule::kWorst), b);
   // Nothing fits 0.9.
-  EXPECT_EQ(algos::pick_bin(ledger, {a, b}, 0.9, algos::FitRule::kFirst),
+  EXPECT_EQ(oracles::pick_bin(ledger, {a, b}, 0.9, algos::FitRule::kFirst),
             kNoBin);
   // Empty candidate list.
-  EXPECT_EQ(algos::pick_bin(ledger, {}, 0.1, algos::FitRule::kBest), kNoBin);
+  EXPECT_EQ(oracles::pick_bin(ledger, {}, 0.1, algos::FitRule::kBest), kNoBin);
 }
 
 TEST(AnyFit, TieBreakingIsEarliestOpenedInBothModes) {
@@ -127,7 +128,7 @@ TEST(AnyFit, TieBreakingIsEarliestOpenedInBothModes) {
   ledger.place(2, 0.4, c, 0.0);
   for (const auto rule : {algos::FitRule::kFirst, algos::FitRule::kBest,
                           algos::FitRule::kWorst}) {
-    EXPECT_EQ(algos::pick_bin(ledger, {a, b, c}, 0.3, rule), a)
+    EXPECT_EQ(oracles::pick_bin(ledger, {a, b, c}, 0.3, rule), a)
         << to_string(rule);
     EXPECT_EQ(algos::pick_bin_indexed(ledger, /*pool=*/0, 0.3, rule), a)
         << to_string(rule);
@@ -135,7 +136,7 @@ TEST(AnyFit, TieBreakingIsEarliestOpenedInBothModes) {
   // Partial tie: a is excluded by load, b and c tie.
   ledger.place(3, 0.3, a, 1.0);  // a now 0.7
   for (const auto rule : {algos::FitRule::kBest, algos::FitRule::kWorst}) {
-    EXPECT_EQ(algos::pick_bin(ledger, {a, b, c}, 0.4, rule), b)
+    EXPECT_EQ(oracles::pick_bin(ledger, {a, b, c}, 0.4, rule), b)
         << to_string(rule);
     EXPECT_EQ(algos::pick_bin_indexed(ledger, /*pool=*/0, 0.4, rule), b)
         << to_string(rule);
@@ -150,7 +151,7 @@ TEST(AnyFit, SentinelWhenNothingFitsInBothModes) {
   ledger.place(1, 0.9, b, 0.0);
   for (const auto rule : {algos::FitRule::kFirst, algos::FitRule::kBest,
                           algos::FitRule::kWorst, algos::FitRule::kNext}) {
-    EXPECT_EQ(algos::pick_bin(ledger, {a, b}, 0.2, rule), kNoBin)
+    EXPECT_EQ(oracles::pick_bin(ledger, {a, b}, 0.2, rule), kNoBin)
         << to_string(rule);
     EXPECT_EQ(algos::pick_bin_indexed(ledger, /*pool=*/0, 0.2, rule), kNoBin)
         << to_string(rule);
@@ -170,7 +171,7 @@ TEST(AnyFit, ExactFitAcceptedInBothModes) {
   const Load exact = 0.75;  // 0.25 + 0.75 == 1.0 exactly
   for (const auto rule : {algos::FitRule::kFirst, algos::FitRule::kBest,
                           algos::FitRule::kWorst, algos::FitRule::kNext}) {
-    EXPECT_EQ(algos::pick_bin(ledger, {a}, exact, rule), a)
+    EXPECT_EQ(oracles::pick_bin(ledger, {a}, exact, rule), a)
         << to_string(rule);
     EXPECT_EQ(algos::pick_bin_indexed(ledger, /*pool=*/0, exact, rule), a)
         << to_string(rule);

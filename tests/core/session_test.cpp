@@ -1,11 +1,17 @@
 #include "core/session.h"
 
+#include <functional>
 #include <limits>
 #include <random>
+#include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "algos/any_fit.h"
+#include "algos/cdff.h"
+#include "algos/harmonic.h"
+#include "core/checkpoint.h"
 #include "core/simulator.h"
 #include "test_util.h"
 #include "workloads/general_random.h"
@@ -120,6 +126,64 @@ TEST(InteractiveSession, RejectsOutOfRangeSizesWithoutStateChange) {
           << factory.name << ": item " << i;
     }
     EXPECT_EQ(probed.finish(), clean.finish()) << factory.name;
+  }
+}
+
+// Regression: an offer the algorithm refuses (HarmonicFit: size 0, which
+// valid_item_size accepts; CDFF: an unaligned arrival) threw from
+// on_arrival after the session had drained departures, moved its clock and
+// used up an item id. A shard never logs a refused offer, so recovery could
+// not rebuild that state. The refusal must leave the session exactly as a
+// session that never saw the offer: clock, open bins, cost, checkpoint
+// bytes and every later decision.
+TEST(InteractiveSession, AlgorithmRefusalLeavesNoStateChange) {
+  using Offer = std::tuple<Time, Time, Load>;
+  struct Case {
+    std::string name;
+    std::function<AlgorithmPtr()> make;
+    Offer first;
+    Offer refused;
+    std::vector<Offer> later;
+  };
+  const std::vector<Case> cases = {
+      {"Harmonic",
+       [] { return std::make_unique<algos::HarmonicFit>(); },
+       {0.0, 4.0, 0.5},
+       {4.0, 5.0, 0.0},
+       {{4.0, 6.0, 0.3}, {5.0, 8.0, 0.6}, {5.0, 9.0, 0.3}}},
+      {"CDFF",
+       [] { return std::make_unique<algos::Cdff>(); },
+       {0.0, 4.0, 0.5},
+       {5.0, 7.0, 0.5},
+       {{4.0, 6.0, 0.5}, {4.0, 5.0, 0.6}, {5.0, 6.0, 0.3}}},
+  };
+  const auto offer = [](InteractiveSession& s, const Offer& o) {
+    return s.offer(std::get<0>(o), std::get<1>(o), std::get<2>(o));
+  };
+  const auto state_bytes = [](const InteractiveSession& s,
+                              const Algorithm& algo) {
+    StateWriter w;
+    s.save_state(w);
+    if (const auto* c = dynamic_cast<const Checkpointable*>(&algo))
+      c->save_state(w);
+    return w.buffer();
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const AlgorithmPtr probed_algo = c.make();
+    const AlgorithmPtr clean_algo = c.make();
+    InteractiveSession probed(*probed_algo);
+    InteractiveSession clean(*clean_algo);
+    ASSERT_EQ(offer(probed, c.first), offer(clean, c.first));
+    EXPECT_THROW(offer(probed, c.refused), std::invalid_argument);
+    EXPECT_EQ(probed.clock(), clean.clock());
+    EXPECT_EQ(probed.open_bins(), clean.open_bins());
+    EXPECT_EQ(probed.cost_so_far(), clean.cost_so_far());
+    EXPECT_EQ(state_bytes(probed, *probed_algo),
+              state_bytes(clean, *clean_algo));
+    for (const Offer& o : c.later)
+      ASSERT_EQ(offer(probed, o), offer(clean, o));
+    EXPECT_EQ(probed.finish(), clean.finish());
   }
 }
 

@@ -1,23 +1,26 @@
 // Equivalence and invariance properties across execution paths:
 //  * the batch Simulator and the interactive Session must produce
 //    identical costs/placements for every algorithm on the same stream;
-//  * indexed bin selection (capacity index) must reproduce the seed
-//    linear-scan selection bit for bit, placement by placement;
+//  * indexed bin selection (capacity index) must pick the bin the seed
+//    linear scan picks, at every arrival of every algorithm that uses it;
 //  * OPT bounds are invariant under same-instant presentation reordering
 //    (they depend on the multiset of items only);
 //  * shifting an instance in time shifts nothing but timestamps.
 #include <algorithm>
+#include <cmath>
 #include <random>
 
 #include <gtest/gtest.h>
 
 #include "algos/cdff.h"
 #include "algos/classify.h"
+#include "algos/harmonic.h"
 #include "algos/hybrid.h"
 #include "core/session.h"
 #include "core/simulator.h"
 #include "opt/bounds.h"
 #include "opt/repack.h"
+#include "oracles/select.h"
 #include "test_util.h"
 #include "workloads/aligned_random.h"
 #include "workloads/general_random.h"
@@ -59,69 +62,56 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SessionEquivalence,
 
 // --- Indexed selection vs the seed linear scan -----------------------------
 //
-// The capacity index must be a pure data-structure change: every algorithm
-// running in SelectMode::kIndexed has to pick the exact same bin as the
-// seed SelectMode::kLinearScan implementation at every arrival, hence
-// produce a bit-identical cost. 18 seeds x (7 general + 8 aligned)
-// algorithm pairs = 270 instance/algorithm runs.
+// The capacity index must be a pure data-structure change. SelectionOracle
+// (tests/oracles) checks it at every arrival of a real run: for every pool
+// holding an open bin and every fit rule, pick_bin_indexed must pick the
+// bin the seed linear scan picks over that pool's open bins. The decorated
+// run must also cost exactly what the undecorated one costs. Both ledger
+// layouts are checked, since each maintains its own indexes. Each instance
+// also runs with its sizes rounded to sixteenths: random sizes almost never
+// leave two bins at equal load, dyadic ones add exactly and tie often, so
+// the tie-breaking rules are exercised too.
 
-struct ModePair {
-  std::string name;
-  std::function<AlgorithmPtr()> indexed;
-  std::function<AlgorithmPtr()> linear;
-};
-
-std::vector<ModePair> mode_pairs() {
+std::vector<testutil::NamedFactory> indexed_algorithms() {
   using namespace algos;
-  const auto af = [](FitRule r, SelectMode m) {
-    return std::make_unique<AnyFit>(r, m);
-  };
-  std::vector<ModePair> out;
-  for (const FitRule r : {FitRule::kFirst, FitRule::kBest, FitRule::kWorst,
-                          FitRule::kNext})
-    out.push_back({AnyFit(r).name(),
-                   [=] { return af(r, SelectMode::kIndexed); },
-                   [=] { return af(r, SelectMode::kLinearScan); }});
-  out.push_back({"CBD2",
-                 [] {
-                   return std::make_unique<ClassifyByDuration>(
-                       2.0, FitRule::kFirst, 0.0, SelectMode::kIndexed);
-                 },
-                 [] {
-                   return std::make_unique<ClassifyByDuration>(
-                       2.0, FitRule::kFirst, 0.0, SelectMode::kLinearScan);
-                 }});
-  out.push_back({"HA",
-                 [] { return std::make_unique<Hybrid>(); },
-                 [] {
-                   return std::make_unique<Hybrid>(
-                       &Hybrid::paper_threshold, "HA", FitRule::kFirst,
-                       SelectMode::kLinearScan);
-                 }});
-  out.push_back({"HA-best",
-                 [] {
+  auto out = testutil::online_factories();
+  out.push_back({"HA-best", [] {
                    return std::make_unique<Hybrid>(&Hybrid::paper_threshold,
                                                    "HA-best", FitRule::kBest);
-                 },
-                 [] {
-                   return std::make_unique<Hybrid>(
-                       &Hybrid::paper_threshold, "HA-best", FitRule::kBest,
-                       SelectMode::kLinearScan);
                  }});
+  out.push_back({"Harmonic(8)", [] { return std::make_unique<HarmonicFit>(); }});
   return out;
 }
 
-void expect_same_run(const Instance& in, const ModePair& pair) {
-  auto idx_algo = pair.indexed();
-  auto lin_algo = pair.linear();
-  const RunResult idx = Simulator{}.run(in, *idx_algo);
-  const RunResult lin = Simulator{}.run(in, *lin_algo);
-  // Bitwise, not NEAR: identical selections must yield identical sums.
-  EXPECT_EQ(idx.cost, lin.cost) << pair.name;
-  ASSERT_EQ(idx.placements.size(), lin.placements.size()) << pair.name;
-  for (std::size_t k = 0; k < idx.placements.size(); ++k)
-    ASSERT_EQ(idx.placements[k].bin, lin.placements[k].bin)
-        << pair.name << " item " << k;
+Instance with_sixteenth_sizes(const Instance& in) {
+  Instance out;
+  for (const Item& r : in.items())
+    out.add(r.arrival, r.departure,
+            std::max(1.0, std::round(r.size * 16.0)) / 16.0);
+  out.finalize();
+  return out;
+}
+
+void expect_index_matches_scan(const Instance& in,
+                               const testutil::NamedFactory& f) {
+  for (const LedgerStorage storage :
+       {LedgerStorage::kReference, LedgerStorage::kSoa}) {
+    SCOPED_TRACE(f.name + " on " + to_string(storage));
+    const Simulator sim{SimulatorOptions{.storage = storage}};
+    oracles::SelectionOracle checked(f.make());
+    const RunResult with_oracle = sim.run(in, checked);
+    EXPECT_GT(checked.checks(), 0u);
+    EXPECT_EQ(checked.mismatches().size(), 0u)
+        << "first: " << oracles::to_string(checked.mismatches().front());
+    auto plain = f.make();
+    const RunResult without = sim.run(in, *plain);
+    // Bitwise, not NEAR: identical selections must yield identical sums.
+    EXPECT_EQ(with_oracle.cost, without.cost);
+    ASSERT_EQ(with_oracle.placements.size(), without.placements.size());
+    for (std::size_t k = 0; k < without.placements.size(); ++k)
+      ASSERT_EQ(with_oracle.placements[k].bin, without.placements[k].bin)
+          << "item " << k;
+  }
 }
 
 class SelectionEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
@@ -133,7 +123,12 @@ TEST_P(SelectionEquivalence, IndexedMatchesLinearScanOnGeneralInstances) {
   cfg.log2_mu = 6;
   cfg.horizon = 40.0;  // dense enough to keep many bins open
   const Instance in = workloads::make_general_random(cfg, rng);
-  for (const ModePair& pair : mode_pairs()) expect_same_run(in, pair);
+  const Instance tied = with_sixteenth_sizes(in);
+  for (const auto& f : indexed_algorithms()) {
+    expect_index_matches_scan(in, f);
+    SCOPED_TRACE("sizes rounded to sixteenths");
+    expect_index_matches_scan(tied, f);
+  }
 }
 
 TEST_P(SelectionEquivalence, IndexedMatchesLinearScanOnAlignedInstances) {
@@ -142,24 +137,19 @@ TEST_P(SelectionEquivalence, IndexedMatchesLinearScanOnAlignedInstances) {
   cfg.max_bucket = 5;
   cfg.n = 6;
   const Instance in = workloads::make_aligned_random(cfg, rng);
-  for (const ModePair& pair : mode_pairs()) expect_same_run(in, pair);
+  auto algorithms = indexed_algorithms();
   // CDFF is only defined on aligned inputs, so it is checked here.
-  const ModePair cdff{
-      "CDFF",
-      [] { return std::make_unique<algos::Cdff>(); },
-      [] {
-        return std::make_unique<algos::Cdff>(algos::FitRule::kFirst,
-                                             algos::SelectMode::kLinearScan);
-      }};
-  expect_same_run(in, cdff);
-  const ModePair cdbf{
-      "CDBF",
-      [] { return std::make_unique<algos::Cdff>(algos::FitRule::kBest); },
-      [] {
-        return std::make_unique<algos::Cdff>(algos::FitRule::kBest,
-                                             algos::SelectMode::kLinearScan);
-      }};
-  expect_same_run(in, cdbf);
+  algorithms.push_back({"CDFF", [] { return std::make_unique<algos::Cdff>(); }});
+  algorithms.push_back({"CDBF", [] {
+                          return std::make_unique<algos::Cdff>(
+                              algos::FitRule::kBest);
+                        }});
+  const Instance tied = with_sixteenth_sizes(in);
+  for (const auto& f : algorithms) {
+    expect_index_matches_scan(in, f);
+    SCOPED_TRACE("sizes rounded to sixteenths");
+    expect_index_matches_scan(tied, f);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SelectionEquivalence,

@@ -9,6 +9,7 @@
 #include "core/simulator.h"
 #include "opt/bounds.h"
 #include "opt/offline_ffd.h"
+#include "oracles/opt_reference.h"
 #include "test_util.h"
 #include "workloads/general_random.h"
 
@@ -76,8 +77,7 @@ TEST(Exact, NodeLimitAborts) {
   opt::ExactOptions opts;
   opts.node_limit = 5;
   EXPECT_FALSE(opt::exact_opt_nonrepacking(in, opts).has_value());
-  opts.engine = opt::ExactEngine::kReference;
-  EXPECT_FALSE(opt::exact_opt_nonrepacking(in, opts).has_value());
+  EXPECT_FALSE(oracles::exact_opt_nonrepacking_reference(in, opts).has_value());
 }
 
 TEST(Exact, GreedySeedDoesNotBillGaps) {

@@ -1,8 +1,8 @@
 // Old-vs-new equivalence for every routine the certification pipeline
-// rebuilt (ISSUE acceptance): on seeded random instances — general and
-// aligned — the optimized engines must reproduce the preserved reference
-// implementations bit for bit: equal costs (EXPECT_EQ on doubles is
-// bitwise) and equal assignments.
+// rebuilt: on seeded random instances — general and aligned — the src/opt
+// engines must reproduce the reference implementations in tests/oracles
+// bit for bit: equal costs (EXPECT_EQ on doubles is bitwise) and equal
+// assignments.
 #include <random>
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include "opt/exact_repacking.h"
 #include "opt/local_search.h"
 #include "opt/offline_ffd.h"
+#include "oracles/opt_reference.h"
 #include "workloads/aligned_random.h"
 #include "workloads/general_random.h"
 
@@ -21,7 +22,7 @@ void expect_equivalent(const Instance& in, const std::string& label) {
   SCOPED_TRACE(label);
 
   // --- exact OPT_R: reference sweep vs snapshot pipeline ------------------
-  const auto rep_ref = opt::exact_opt_repacking_reference(in);
+  const auto rep_ref = oracles::exact_opt_repacking_reference(in);
   const auto rep_seq = opt::exact_opt_repacking(in);
   ASSERT_EQ(rep_ref.has_value(), rep_seq.has_value());
   if (rep_ref) {
@@ -39,9 +40,7 @@ void expect_equivalent(const Instance& in, const std::string& label) {
   }
 
   // --- exact OPT_NR: optimized vs reference branch & bound ----------------
-  opt::ExactOptions ropts;
-  ropts.engine = opt::ExactEngine::kReference;
-  const auto nr_ref = opt::exact_opt_nonrepacking(in, ropts);
+  const auto nr_ref = oracles::exact_opt_nonrepacking_reference(in);
   const auto nr_opt = opt::exact_opt_nonrepacking(in);
   ASSERT_EQ(nr_ref.has_value(), nr_opt.has_value());
   if (nr_ref) {
@@ -50,19 +49,15 @@ void expect_equivalent(const Instance& in, const std::string& label) {
   }
 
   // --- offline FFD: envelope vs reference probes --------------------------
-  const auto ffd_ref = opt::offline_ffd_by_length(in, opt::FitEngine::kReference);
-  const auto ffd_env = opt::offline_ffd_by_length(in, opt::FitEngine::kEnvelope);
+  const auto ffd_ref = oracles::offline_ffd_by_length_reference(in);
+  const auto ffd_env = opt::offline_ffd_by_length(in);
   EXPECT_EQ(ffd_ref.cost, ffd_env.cost);
   EXPECT_EQ(ffd_ref.bins, ffd_env.bins);
   EXPECT_EQ(ffd_ref.assignment, ffd_env.assignment);
 
   // --- local search: envelope vs reference span deltas --------------------
-  opt::LocalSearchOptions ls_ref;
-  ls_ref.engine = opt::FitEngine::kReference;
-  opt::LocalSearchOptions ls_env;
-  ls_env.engine = opt::FitEngine::kEnvelope;
-  const auto s_ref = opt::local_search_opt_nr(in, ls_ref);
-  const auto s_env = opt::local_search_opt_nr(in, ls_env);
+  const auto s_ref = oracles::local_search_opt_nr_reference(in);
+  const auto s_env = opt::local_search_opt_nr(in);
   EXPECT_EQ(s_ref.cost, s_env.cost);
   EXPECT_EQ(s_ref.assignment, s_env.assignment);
   EXPECT_EQ(s_ref.moves, s_env.moves);

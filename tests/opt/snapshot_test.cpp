@@ -9,6 +9,7 @@
 
 #include "opt/bin_packing.h"
 #include "opt/exact_repacking.h"
+#include "oracles/opt_reference.h"
 #include "test_util.h"
 
 namespace cdbp {
@@ -56,7 +57,7 @@ TEST(Snapshot, UlpPerturbedDuplicateCollapses) {
       {0.0, 1.0, s},
       {2.0, 3.0, std::nextafter(s, 1.0)},
   });
-  const auto ref = opt::exact_opt_repacking_reference(in);
+  const auto ref = oracles::exact_opt_repacking_reference(in);
   const auto pipe = opt::exact_opt_repacking(in);
   ASSERT_TRUE(ref.has_value());
   ASSERT_TRUE(pipe.has_value());
@@ -84,7 +85,8 @@ TEST(Snapshot, CountersOnPeriodicInstance) {
   EXPECT_EQ(sweep->max_active, 1u);
   EXPECT_DOUBLE_EQ(sweep->snapshots[0].dwell, 12.0);
 
-  for (auto* run : {&opt::exact_opt_repacking, &opt::exact_opt_repacking_reference}) {
+  for (auto* run : {&opt::exact_opt_repacking,
+                    &oracles::exact_opt_repacking_reference}) {
     const auto r = (*run)(in, opt::ExactRepackingOptions{});
     ASSERT_TRUE(r.has_value());
     EXPECT_EQ(r->distinct_snapshots, 1u);
