@@ -114,7 +114,13 @@ void Hybrid::on_departure(const Item& item, BinId bin, bool bin_closed,
   if (auto it = cd_bin_type_.find(bin); it != cd_bin_type_.end()) {
     std::vector<BinId>& bins = cd_bins_[it->second];
     bins.erase(std::remove(bins.begin(), bins.end(), bin), bins.end());
-    if (bins.empty()) cd_bins_.erase(it->second);
+    if (bins.empty()) {
+      // The type's last CD bin: drop its pool id too. If the type comes
+      // back it gets a fresh pool, which selects exactly as the old one
+      // would have (no open bin in either).
+      cd_bins_.erase(it->second);
+      type_pool_.erase(it->second);
+    }
     cd_bin_type_.erase(it);
     --cd_open_total_;
     g_cd_open.set(static_cast<double>(cd_open_total_));

@@ -56,7 +56,8 @@ class Hybrid : public Algorithm, public Checkpointable {
 
   /// Exact state: per-type active loads (bit-exact accumulators — the
   /// threshold comparison must see the same float it would have seen),
-  /// type->pool assignments, CD/GN bin sets. Derived maps are rebuilt.
+  /// type->pool assignments of types with an open CD bin, CD/GN bin sets.
+  /// Derived maps are rebuilt.
   void save_state(StateWriter& w) const override;
   void load_state(StateReader& r) override;
 
@@ -72,9 +73,10 @@ class Hybrid : public Algorithm, public Checkpointable {
   [[nodiscard]] double active_load(const DurationType& t) const;
 
  private:
-  /// Ledger selection pool of one type's CD bins (allocated on demand;
-  /// pools kHybridGroupGN and below are never handed out, so GN and CD
-  /// selection never collide).
+  /// Ledger selection pool of one type's CD bins (allocated on demand,
+  /// dropped with the type's last open CD bin, so HA's state is O(live
+  /// types); pools kHybridGroupGN and below are never handed out, so GN
+  /// and CD selection never collide).
   [[nodiscard]] PoolId cd_pool(const DurationType& type);
 
   Threshold threshold_;

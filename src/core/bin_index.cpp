@@ -1,6 +1,7 @@
 #include "core/bin_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "obs/obs.h"
@@ -20,14 +21,36 @@ obs::Counter& g_probe_steps =
 
 }  // namespace
 
-void BinCapacityIndex::grow() {
-  const std::size_t new_cap = cap_ == 0 ? 1 : cap_ * 2;
-  std::vector<Load> new_tree(2 * new_cap, kClosedLoad);
-  for (std::size_t s = 0; s < size_; ++s) new_tree[new_cap + s] = leaf(s);
-  tree_ = std::move(new_tree);
-  cap_ = new_cap;
+void BinCapacityIndex::rebuild(std::size_t cap) {
+  std::vector<Load> tree(2 * cap, kClosedLoad);
+  for (std::size_t s = 0; s < size_; ++s) tree[cap + s] = leaf(s);
+  tree_ = std::move(tree);
+  cap_ = cap;
   for (std::size_t node = cap_ - 1; node >= 1; --node)
     tree_[node] = std::min(tree_[2 * node], tree_[2 * node + 1]);
+}
+
+void BinCapacityIndex::grow() { rebuild(cap_ == 0 ? 1 : cap_ * 2); }
+
+void BinCapacityIndex::compact() {
+  // Slide the open leaves left over the closed ones; slot order (opening
+  // order) is kept, and by_load_ holds (load, bin) keys, so it is
+  // untouched.
+  std::size_t kept = 0;
+  for (std::size_t s = 0; s < size_; ++s) {
+    if (leaf(s) == kClosedLoad) continue;
+    tree_[cap_ + kept] = leaf(s);
+    bins_[kept++] = bins_[s];
+  }
+  size_ = kept;
+  bins_.resize(kept);
+  bins_.shrink_to_fit();
+  if (kept == 0) {
+    tree_ = {};
+    cap_ = 0;
+    return;
+  }
+  rebuild(std::bit_ceil(kept));
 }
 
 void BinCapacityIndex::update_leaf(std::size_t slot, Load load) {
@@ -55,10 +78,14 @@ void BinCapacityIndex::set_load(std::size_t slot, Load load) {
   update_leaf(slot, load);
 }
 
-void BinCapacityIndex::close(std::size_t slot) {
+bool BinCapacityIndex::close(std::size_t slot) {
   if (by_load_active_) by_load_.erase({leaf(slot), bins_[slot]});
   update_leaf(slot, kClosedLoad);
   --open_count_;
+  if (size_ < kCompactMinSlots || size_ - open_count_ <= open_count_)
+    return false;
+  compact();
+  return true;
 }
 
 void BinCapacityIndex::activate_by_load() const {

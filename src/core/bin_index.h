@@ -17,11 +17,17 @@
 //    maintained incrementally from then on — First/Worst/Next-Fit runs
 //    never pay its node allocations and rebalancing.
 //
-// Closed bins keep their slot but are parked at kClosedLoad, a sentinel
-// above any admissible load, so they can never be selected. Tie-breaking
-// is bit-identical to the seed linear scan (earliest opened wins), which
-// lives in tests/oracles/select.h; SelectionEquivalence checks the two
-// agree at every arrival of real runs.
+// A closed bin's slot is parked at kClosedLoad, a sentinel above any
+// admissible load, so it can never be selected. Once closed slots
+// outnumber open ones (in a pool of at least kCompactMinSlots slots),
+// close() packs the open slots to the front, keeping their order, and
+// shrinks the tree: memory is O(open bins), not O(bins ever added), and
+// each compaction's O(slots) cost is paid for by the closes before it
+// (amortized O(1) per close). The caller re-reads slot numbers after a
+// compaction (slot_count / bin_at). Tie-breaking is bit-identical to the
+// seed linear scan (earliest opened wins), which lives in
+// tests/oracles/select.h; SelectionEquivalence checks the two agree at
+// every arrival of real runs.
 #pragma once
 
 #include <cstddef>
@@ -44,8 +50,13 @@ class BinCapacityIndex {
   /// Updates the load of an open slot (after place/remove).
   void set_load(std::size_t slot, Load load);
 
-  /// Marks a slot's bin as closed; it can never be selected again.
-  void close(std::size_t slot);
+  /// Smallest pool that close() compacts.
+  static constexpr std::size_t kCompactMinSlots = 64;
+
+  /// Marks a slot's bin as closed; it can never be selected again. Returns
+  /// true when this close compacted the index: every open bin then sits
+  /// at a new slot, bin_at(s) for s < slot_count() in opening order.
+  bool close(std::size_t slot);
 
   /// Earliest-opened open bin admitting `size`; kNoBin if none.
   [[nodiscard]] BinId first_fit(Load size) const;
@@ -66,8 +77,13 @@ class BinCapacityIndex {
     return open_count_;
   }
 
-  /// Open bins in opening order. O(slots ever added) — for reporting, not
-  /// for per-arrival use.
+  /// Slots in use (open and closed since the last compaction).
+  [[nodiscard]] std::size_t slot_count() const noexcept { return size_; }
+  /// Bin registered at `slot`.
+  [[nodiscard]] BinId bin_at(std::size_t slot) const { return bins_[slot]; }
+
+  /// Open bins in opening order. O(slots) — for reporting, not for
+  /// per-arrival use.
   [[nodiscard]] std::vector<BinId> open_bins() const;
 
   /// open_bins() into a caller-owned buffer (cleared first): no per-call
@@ -80,6 +96,9 @@ class BinCapacityIndex {
   }
   void update_leaf(std::size_t slot, Load load);
   void grow();
+  void compact();
+  /// Rebuilds the tree over the first size_ leaves with capacity `cap`.
+  void rebuild(std::size_t cap);
   void activate_by_load() const;
 
   // Implicit binary tournament tree: tree_[1] is the root, tree_[cap_ ..

@@ -11,10 +11,11 @@ namespace cdbp::serve {
 
 namespace {
 
-/// v2: the session state carries only live items (see
-/// InteractiveSession::save_state). v1 files, which carried every item
-/// ever offered, are refused by name (read_sealed_file).
-constexpr std::string_view kCkptMagic("CDBPCKP2", 8);
+/// v3: the session state carries only live items and the ledger only open
+/// bins (see InteractiveSession::save_state, Ledger::save_state). v1 files,
+/// which carried every item ever offered, and v2 files, which carried
+/// every bin ever opened, are refused by name (read_sealed_file).
+constexpr std::string_view kCkptMagic("CDBPCKP3", 8);
 
 obs::Counter& g_offers =
     obs::MetricsRegistry::global().counter("serve.offers");

@@ -1,5 +1,6 @@
 #include "core/bin_index.h"
 
+#include <map>
 #include <random>
 #include <vector>
 
@@ -172,6 +173,86 @@ TEST(BinCapacityIndex, AgreesWithLinearScanUnderChurn) {
     ASSERT_EQ(idx.best_fit(size), linear_best(size)) << "step " << step;
     ASSERT_EQ(idx.worst_fit(size), linear_worst(size)) << "step " << step;
   }
+}
+
+// Compaction against a model that never compacts: the open bins keyed by
+// id (= opening order), answering by linear scan, with no slots at all.
+// Random add/set/close churn keeps the open count between 8 and 48, so the
+// index compacts thousands of times; every first/best/worst/newest
+// answer and open_bins() must match the model at every step, and after a
+// close the index holds at most twice its open bins (or under 64 slots).
+TEST(BinCapacityIndex, CompactionMatchesANeverCompactingModel) {
+  BinCapacityIndex idx;
+  std::mt19937_64 rng(31);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+
+  std::map<BinId, Load> model;       // open bins only, in opening order
+  std::vector<std::size_t> slot_of;  // bin -> current slot
+  std::vector<BinId> open;           // open bin ids, any order
+  const auto scan = [&](Load size, auto better) {
+    BinId chosen = kNoBin;
+    Load chosen_load = 0.0;
+    for (const auto& [bin, load] : model)
+      if (fits_in_bin(load, size) &&
+          (chosen == kNoBin || better(load, chosen_load))) {
+        chosen = bin;
+        chosen_load = load;
+      }
+    return chosen;
+  };
+
+  std::size_t compactions = 0;
+  std::vector<BinId> want;
+  for (int step = 0; step < 150000; ++step) {
+    const double r = unit(rng);
+    if (open.size() < 8 || (open.size() < 48 && r < 0.4)) {
+      const auto bin = static_cast<BinId>(slot_of.size());
+      model.emplace(bin, 0.0);
+      slot_of.push_back(idx.add_bin(bin));
+      open.push_back(bin);
+    } else if (r < 0.55) {
+      const BinId bin = open[rng() % open.size()];
+      const Load load = static_cast<double>(rng() % 65) / 64.0;  // many ties
+      model[bin] = load;
+      idx.set_load(slot_of[static_cast<std::size_t>(bin)], load);
+    } else {
+      const std::size_t k = rng() % open.size();
+      const BinId bin = open[k];
+      open[k] = open.back();
+      open.pop_back();
+      model.erase(bin);
+      if (idx.close(slot_of[static_cast<std::size_t>(bin)])) {
+        ++compactions;
+        ASSERT_EQ(idx.slot_count(), idx.open_count());
+        for (std::size_t s = 0; s < idx.slot_count(); ++s)
+          slot_of[static_cast<std::size_t>(idx.bin_at(s))] = s;
+      }
+      // After any close, closed slots never outnumber open ones in a pool
+      // past the threshold.
+      ASSERT_TRUE(idx.slot_count() < BinCapacityIndex::kCompactMinSlots ||
+                  idx.slot_count() <= 2 * idx.open_count())
+          << "step " << step;
+    }
+    // Sizes stay below 1: max_load_admitting walks ulps of the bound
+    // 1 + eps - size, which take ~1e9 steps for a size of exactly 1.
+    const Load size = static_cast<double>(1 + rng() % 63) / 64.0;
+    ASSERT_EQ(idx.first_fit(size),
+              scan(size, [](Load, Load) { return false; }))
+        << "step " << step;
+    ASSERT_EQ(idx.best_fit(size),
+              scan(size, [](Load a, Load b) { return a > b; }))
+        << "step " << step;
+    ASSERT_EQ(idx.worst_fit(size),
+              scan(size, [](Load a, Load b) { return a < b; }))
+        << "step " << step;
+    ASSERT_EQ(idx.newest_open(), model.empty() ? kNoBin : model.rbegin()->first)
+        << "step " << step;
+    want.clear();
+    for (const auto& [bin, load] : model) want.push_back(bin);
+    ASSERT_EQ(idx.open_bins(), want) << "step " << step;
+    ASSERT_EQ(idx.open_count(), model.size());
+  }
+  EXPECT_GT(compactions, 1000u);
 }
 
 }  // namespace

@@ -316,7 +316,7 @@ TEST_F(FrameFileTest, FormatBytesMatchTheirPins) {
     }
     s.close();
   }
-  EXPECT_EQ(crc_of(read_bytes(sc.checkpoint_path)), 0xFF8411CDu)
+  EXPECT_EQ(crc_of(read_bytes(sc.checkpoint_path)), 0x0B71F931u)
       << "checkpoint";
   EXPECT_EQ(crc_of(read_bytes(sc.wal_path + ".manifest")), 0xDAF2FAC9u)
       << "manifest";

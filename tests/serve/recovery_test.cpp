@@ -580,6 +580,87 @@ TEST_F(RecoveryTest, CheckpointSizeTracksLiveStateNotOffers) {
   EXPECT_EQ(rec.finish(), live_cost);
 }
 
+// A checkpoint holds open bins only: FF packing 1e5 back-to-back items of
+// size 0.75 opens a bin per offer and never has more than two open, and its
+// checkpoint after 1e5 offers is exactly as large as after 1e2. (A format
+// that kept every bin ever opened grew ~52 B per bin here.) The big
+// checkpoint must still restore to the uninterrupted cost.
+TEST_F(RecoveryTest, CheckpointSizeTracksLiveBinsNotBinsOpened) {
+  const auto cfg = config("bins", false, 0);
+  const auto file_size = [&] {
+    return fs::file_size(cfg.checkpoint_path);
+  };
+  std::uintmax_t small = 0;
+  std::uintmax_t large = 0;
+  Cost live_cost = 0.0;
+  {
+    DurableSession s(cli::make_algorithm("ff"), "ff", cfg);
+    for (std::uint64_t k = 0; k < 100'000; ++k) {
+      const auto t = static_cast<Time>(k);
+      // Item k-1 departs at t, before item k arrives: its bin closes and
+      // item k opens the next one.
+      ASSERT_EQ(s.offer(t, t + 1.0, 0.75, k + 1), static_cast<BinId>(k))
+          << "offer " << k;
+      if (k + 1 == 100) {
+        ASSERT_TRUE(s.checkpoint_now());
+        small = file_size();
+      }
+    }
+    ASSERT_TRUE(s.checkpoint_now());
+    large = file_size();
+    EXPECT_EQ(s.session().ledger().bins_opened(), 100'000u);
+    EXPECT_LE(s.session().ledger().max_open(), 2u);
+    s.close();
+    live_cost = s.finish();
+  }
+  EXPECT_GT(small, 0u);
+  EXPECT_EQ(large, small);
+
+  DurableSession rec(cli::make_algorithm("ff"), "ff",
+                     config("bins", true, 0));
+  EXPECT_TRUE(rec.recovery().used_checkpoint);
+  EXPECT_EQ(rec.recovery().checkpoint_seq, 100'000u);
+  EXPECT_EQ(rec.recovery().replayed, 0u);
+  EXPECT_EQ(rec.session().ledger().bins_opened(), 100'000u);
+  EXPECT_EQ(rec.finish(), live_cost);
+}
+
+// The v2 format carried a row for every bin ever opened; this build refuses
+// such a file by name, as it does v1.
+TEST_F(RecoveryTest, RetiredV2CheckpointIsRefusedByName) {
+  const Instance instance = general_instance(15);
+  const auto cfg = config("v2", false, 2);
+  {
+    DurableSession s(cli::make_algorithm("ff"), "ff", cfg);
+    for (std::size_t i = 0; i < 4; ++i) {
+      const Item& it = instance[i];
+      s.offer(it.arrival, it.departure, it.size, i + 1);
+    }
+    s.close();
+  }
+  {
+    std::fstream f(cfg.checkpoint_path,
+                   std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f);
+    f.write("CDBPCKP2", 8);  // the v2 magic over an otherwise intact file
+  }
+  try {
+    DurableSession rec(cli::make_algorithm("ff"), "ff",
+                       config("v2", true, 2));
+    ADD_FAILURE() << "a CDBPCKP2 checkpoint was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("CDBPCKP2"), std::string::npos)
+        << e.what();
+  }
+  try {
+    (void)read_checkpoint_info(cfg.checkpoint_path);
+    ADD_FAILURE() << "read_checkpoint_info accepted a CDBPCKP2 file";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("CDBPCKP2"), std::string::npos)
+        << e.what();
+  }
+}
+
 // The v1 format carried every offered item; this build refuses such a file
 // by name instead of misreading it or silently replaying around it.
 TEST_F(RecoveryTest, RetiredV1CheckpointIsRefusedByName) {
