@@ -16,7 +16,8 @@ class InteractiveSession {
  public:
   /// The session keeps only live state: the SoA ledger without its
   /// per-item placement log, plus the active items in the departure heap.
-  /// Memory is O(bins + active items), not O(items offered).
+  /// Memory is O(open bins + active items), not O(items offered) or
+  /// O(bins opened).
   explicit InteractiveSession(Algorithm& algo)
       : algo_(&algo), ledger_(LedgerStorage::kSoa, /*track_items=*/false) {
     algo_->reset();
@@ -53,14 +54,14 @@ class InteractiveSession {
 
   /// Serializes the session's live state: clock, next item id, the active
   /// items (id, arrival, departure, size; ascending id), then the ledger
-  /// (Ledger::save_state). Nothing about departed items is kept, so the
-  /// size is O(bins + active items). The driven algorithm's state is NOT
-  /// included — the caller saves it alongside iff the algorithm is
-  /// Checkpointable (see src/serve/). `load_state` restores into a freshly
-  /// constructed session (throws std::logic_error otherwise; a buffer whose
-  /// items disagree with its ledger throws std::runtime_error), after
-  /// which the session continues bit-identically with the one that was
-  /// saved.
+  /// (Ledger::save_state). Nothing about departed items or closed bins is
+  /// kept, so the size is O(open bins + active items). The driven
+  /// algorithm's state is NOT included — the caller saves it alongside iff
+  /// the algorithm is Checkpointable (see src/serve/). `load_state`
+  /// restores into a freshly constructed session (throws std::logic_error
+  /// otherwise; a buffer whose items disagree with its ledger throws
+  /// std::runtime_error), after which the session continues
+  /// bit-identically with the one that was saved.
   void save_state(StateWriter& w) const;
   void load_state(StateReader& r);
 
