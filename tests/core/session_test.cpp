@@ -195,6 +195,18 @@ TEST(InteractiveSession, AcceptsSizesUpToAFullBin) {
   EXPECT_EQ(session.offer(0.0, 1.0, 1.0 + kLoadEps / 2), 1);
 }
 
+// Regression: Best-Fit's key bound walked ulps towards the admission
+// boundary on every query to a non-empty pool: ~5e8 steps for a size of 1
+// and ~4e18 for the largest valid size, so one such offer wedged the session.
+TEST(InteractiveSession, BestFitAcceptsSizesNearAFullBin) {
+  algos::BestFit bf;
+  InteractiveSession session(bf);
+  EXPECT_EQ(session.offer(0.0, 10.0, 0.5), 0);
+  EXPECT_EQ(session.offer(1.0, 2.0, 1.0), 1);  // bin 0 stays open
+  EXPECT_EQ(session.offer(2.0, 3.0, kBinCapacity + kLoadEps), 2);
+  EXPECT_EQ(session.open_bins(), 2u);
+}
+
 TEST(InteractiveSession, FinishOnEmptySessionIsZero) {
   algos::FirstFit ff;
   InteractiveSession session(ff);

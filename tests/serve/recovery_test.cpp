@@ -142,7 +142,13 @@ constexpr std::uint64_t kFiveRecordSegmentBytes =
     kSegmentHeaderBytes + 4 * (8 + 57) + 16;
 
 TEST_F(RecoveryTest, BitIdenticalOnGeneralInputs) {
-  for (const char* algo : {"ff", "bf", "wf", "cbd", "ha"}) {
+  for (const char* algo : {"ff", "bf", "wf", "cbd", "ha", "harmonic"}) {
+    {
+      // Each of these recovers from its checkpoint, not the whole log.
+      DurableSession s(cli::make_algorithm(algo), algo,
+                       config(std::string(algo) + "-cap", false, 0));
+      EXPECT_TRUE(s.checkpointable()) << algo;
+    }
     for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
       const Instance instance = general_instance(seed);
       ASSERT_GE(instance.size(), 16u);
