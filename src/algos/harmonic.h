@@ -15,10 +15,13 @@
 
 #include "algos/any_fit.h"
 #include "core/algorithm.h"
+#include "core/checkpoint.h"
 
 namespace cdbp::algos {
 
-class HarmonicFit : public Algorithm {
+/// Keeps no state outside the ledger (each class is a ledger pool), so it is
+/// trivially Checkpointable, as AnyFit is.
+class HarmonicFit : public Algorithm, public Checkpointable {
  public:
   /// `classes` = K >= 1: size classes (1/2,1], (1/3,1/2], ..., plus the
   /// catch-all (0, 1/K].
@@ -29,6 +32,9 @@ class HarmonicFit : public Algorithm {
   /// Refuses a size class_of refuses (size 0 included).
   void check_arrival(const Item& item) const override;
   BinId on_arrival(const Item& item, Ledger& ledger) override;
+
+  void save_state(StateWriter& w) const override { (void)w; }
+  void load_state(StateReader& r) override { (void)r; }
 
   /// Size class of a load: k for size in (1/(k+1), 1/k] with k < K, else K
   /// (catch-all).

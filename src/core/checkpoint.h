@@ -95,8 +95,9 @@ class StateReader {
 
 /// Capability: exact state capture and restore. Implemented by the
 /// algorithms whose serving sessions can be checkpointed (Any-Fit family,
-/// CDFF, ClassifyByDuration, Hybrid); algorithms without it are recovered
-/// by replaying the whole write-ahead log instead (src/serve/).
+/// CDFF, ClassifyByDuration, Hybrid, HarmonicFit); the two without it,
+/// DurationAwareFit's `dfit` and `dfit-ne`, are recovered by replaying the
+/// whole write-ahead log instead (src/serve/).
 ///
 /// Contract: after `b.load_state(r)` on a freshly reset `b` reading what
 /// `a.save_state(w)` wrote, `b` must behave bit-identically to `a` on every
