@@ -36,8 +36,7 @@ BinId DurationAwareFit::on_arrival(const Item& item, Ledger& ledger) {
   double chosen_cost = item.length();  // cost of a fresh bin
   Load chosen_load = -1.0;
 
-  ledger.open_bins_into(scratch_);
-  for (BinId b : scratch_) {
+  for (BinId b : ledger.open_bins()) {
     if (!ledger.fits(b, item.size)) continue;
     const double cost = extension_cost(b, item.departure);
     switch (policy_) {

@@ -22,7 +22,6 @@
 #include <set>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "core/algorithm.h"
 
@@ -58,7 +57,6 @@ class DurationAwareFit : public Algorithm {
   // Departure multiset per open bin: the horizon is the max element, read
   // in O(1) from the back; insert/erase are O(log items-in-bin).
   std::unordered_map<BinId, std::multiset<Time>> departures_;
-  std::vector<BinId> scratch_;  ///< open-bins buffer, reused per arrival
 };
 
 }  // namespace cdbp::algos

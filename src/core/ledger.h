@@ -3,7 +3,10 @@
 // open/close times, and accumulates the MinUsageTime cost
 //   sum over bins of (close_time - open_time).
 // Bins close automatically when their last item departs and are never
-// reused (w.l.o.g. per paper §2).
+// reused (w.l.o.g. per paper §2). Its surface is what the paper's
+// algorithms need: open a bin, place and remove items, pick a fitting bin
+// within a selection pool, and the cost; plus per-bin probes, live
+// counters, records() for reports, and checkpoints.
 //
 // Two storage backends sit behind one API (see docs/ALGORITHMS.md):
 //
@@ -18,10 +21,9 @@
 //    open-addressing map (core/flat_map.h). Memory is O(open bins + active
 //    items), however many bins were ever opened — what lets a streamed
 //    1e7-item run and a long-lived serve shard stay small. With item
-//    tracking on, each bin's group, pool and open/close times are also
-//    appended to a history log beside the placement log (O(bins + items)),
-//    which records(), open_bins_profile() and the per-bin queries of
-//    closed bins read.
+//    tracking on, each bin's group and open/close times are also appended
+//    to a history log beside the placement log (O(bins + items)), which
+//    records() reads.
 //
 // Both backends execute the same floating-point operations in the same
 // order, so costs, loads, and serialized checkpoints are bit-identical —
@@ -75,6 +77,11 @@ struct BinRecord {
   }
 };
 
+/// Step function: number of open bins over time, from records() (bins
+/// still open are cut off at `now`).
+[[nodiscard]] StepFunction open_bins_profile(const std::vector<BinRecord>& bins,
+                                             Time now);
+
 /// See file comment. All mutators take the current simulation time, which
 /// must be non-decreasing across calls (enforced).
 class Ledger {
@@ -86,9 +93,6 @@ class Ledger {
   /// and long-lived sessions that only need costs and live state.
   explicit Ledger(LedgerStorage storage, bool track_items = true)
       : storage_(storage), track_items_(track_items) {}
-
-  [[nodiscard]] LedgerStorage storage() const noexcept { return storage_; }
-  [[nodiscard]] bool tracks_items() const noexcept { return track_items_; }
 
   /// Opens a new bin; returns its id (ids are dense and increase with time,
   /// so ascending id order == opening order, as First-Fit requires). The
@@ -107,19 +111,17 @@ class Ledger {
   /// Returns the bin the item was in.
   BinId remove(ItemId id, Time now);
 
-  // Per-bin queries. Every id ever issued is valid for fits/load/is_open
-  // (a closed bin: false / false / 0.0); an id never issued throws
-  // std::out_of_range. group_of, pool_of and record answer for every
-  // issued id too, except on an SoA ledger without item tracking, which
-  // forgets a bin when it closes: there they throw std::out_of_range for
-  // a closed bin.
+  // Per-bin queries, one contract for both layouts: fits, load and
+  // is_open answer for every id ever issued (a closed bin: false / 0.0 /
+  // false); pool_of answers for open bins only. Any other id throws
+  // std::out_of_range. A bin's group and its closed life are reported by
+  // records().
 
   /// True when `bin` is open and `size` fits (capacity 1, tolerance policy
   /// in time_types.h).
   [[nodiscard]] bool fits(BinId bin, Load size) const;
 
   [[nodiscard]] Load load(BinId bin) const;
-  [[nodiscard]] BinGroup group_of(BinId bin) const;
   [[nodiscard]] bool is_open(BinId bin) const;
   [[nodiscard]] BinId bin_of(ItemId id) const;  ///< kNoBin if not active
 
@@ -130,14 +132,6 @@ class Ledger {
   [[nodiscard]] std::size_t open_count() const noexcept {
     return open_.size();
   }
-  /// open_bins() copied into a caller-owned buffer (cleared first) — the
-  /// no-allocation variant for per-arrival scan paths.
-  void open_bins_into(std::vector<BinId>& out) const;
-
-  /// Open bins of one group, in opening order.
-  [[nodiscard]] std::vector<BinId> open_bins_in_group(BinGroup g) const;
-  void open_bins_in_group_into(BinGroup g, std::vector<BinId>& out) const;
-  [[nodiscard]] std::size_t open_count_in_group(BinGroup g) const;
 
   // --- O(log B) capacity-indexed selection (incrementally maintained by
   // open_bin/place/remove; see core/bin_index.h). Tie-breaking matches the
@@ -153,14 +147,7 @@ class Ledger {
   [[nodiscard]] BinId worst_fit(PoolId pool, Load size) const;
   /// Most recently opened bin of `pool` still open; kNoBin if none.
   [[nodiscard]] BinId newest_open_in_pool(PoolId pool) const;
-
-  /// Open bins of one pool, in opening order. O(slots in the pool's
-  /// index), at most ~2x its open bins — reporting use only.
-  [[nodiscard]] std::vector<BinId> open_bins_in_pool(PoolId pool) const;
-  void open_bins_in_pool_into(PoolId pool, std::vector<BinId>& out) const;
-  /// O(1).
-  [[nodiscard]] std::size_t open_count_in_pool(PoolId pool) const;
-  /// Selection pool of a bin (see the per-bin query contract above).
+  /// Selection pool of an open bin (see the per-bin query contract above).
   [[nodiscard]] PoolId pool_of(BinId bin) const;
 
   /// Total MinUsageTime cost accumulated so far (open bins counted up to
@@ -181,28 +168,13 @@ class Ledger {
                                            : active_.size();
   }
 
-  /// Full record of bin `bin` (see the per-bin query contract above). In
-  /// SoA mode records are materialized on demand (reporting path); the
-  /// returned reference stays valid until the next mutation or record()
-  /// call.
-  [[nodiscard]] const BinRecord& record(BinId bin) const;
-  /// Records of every bin ever opened, indexed by id. The SoA layout needs
-  /// item tracking for this (std::logic_error otherwise).
-  [[nodiscard]] const std::vector<BinRecord>& records() const;
-
-  /// Step function: number of open bins over time (derived from the open/
-  /// close log; still-open bins are cut off at `now`). Needs item tracking
-  /// on the SoA layout, like records().
-  [[nodiscard]] StepFunction open_bins_profile(Time now) const;
+  /// Records of every bin ever opened, indexed by id: a full copy, built
+  /// per call (the reporting path; take it once, at the end of a run). The
+  /// SoA layout needs item tracking for this (std::logic_error otherwise).
+  [[nodiscard]] std::vector<BinRecord> records() const;
 
   /// Latest time passed to any mutator.
   [[nodiscard]] Time clock() const noexcept { return clock_; }
-
-  /// Currently placed item ids, ascending. O(active items log active items).
-  [[nodiscard]] std::vector<ItemId> active_item_ids() const;
-  /// Same, into a caller-owned buffer (cleared first): no per-call
-  /// allocation once the buffer has warmed up.
-  void active_item_ids_into(std::vector<ItemId>& out) const;
 
   /// Serializes the ledger's decision state: the next bin id, the open
   /// bins in ascending id (group, opening time, bit-exact load, active
@@ -255,7 +227,6 @@ class Ledger {
   /// One bin's life, kept when tracking items (SoA history log).
   struct BinHistory {
     BinGroup group = 0;
-    PoolId pool = 0;
     Time opened = 0.0;
     Time closed = 0.0;
   };
@@ -266,25 +237,16 @@ class Ledger {
     const BinRow* r = soa_rows_.find(bin);
     return r ? &r->row : nullptr;
   }
-  /// Row of an open bin; std::out_of_range for a closed one (forgotten
-  /// when item tracking is off).
-  [[nodiscard]] std::uint32_t soa_open_row(BinId bin) const;
   [[nodiscard]] std::uint32_t soa_add_row(BinId bin, BinGroup group,
                                           Time opened, PoolId pool);
   void soa_close_row(BinId bin, std::uint32_t row);
   [[nodiscard]] std::uint32_t soa_pool_index(PoolId pool);  // find-or-create
   [[nodiscard]] const BinCapacityIndex* soa_pool_find(PoolId pool) const;
-  void soa_materialize() const;
   // Open bins only.
   [[nodiscard]] Time opened_of(BinId bin) const noexcept {
     return storage_ == LedgerStorage::kSoa
                ? soa_opened_[*soa_row(bin)]
                : bins_[static_cast<std::size_t>(bin)].opened;
-  }
-  [[nodiscard]] BinGroup group_of_unchecked(BinId bin) const noexcept {
-    return storage_ == LedgerStorage::kSoa
-               ? soa_group_[*soa_row(bin)]
-               : bins_[static_cast<std::size_t>(bin)].group;
   }
 
   LedgerStorage storage_ = LedgerStorage::kReference;
@@ -318,14 +280,9 @@ class Ledger {
   FlatItemMap soa_active_;
   /// Tracking only: every bin's life by id, and the append-only (item,
   /// bin) log in placement order; per-bin item lists are a stable
-  /// partition of it (see soa_materialize).
+  /// partition of it (see records()).
   std::vector<BinHistory> soa_history_;
   std::vector<std::pair<ItemId, BinId>> soa_placements_;
-  // Lazily materialized BinRecord view for record()/records() (reporting).
-  mutable std::vector<BinRecord> soa_records_;
-  mutable BinRecord soa_record_;  // record() of an open bin, untracked
-  mutable std::uint64_t soa_records_version_ = ~std::uint64_t{0};
-  std::uint64_t soa_version_ = 0;
 };
 
 }  // namespace cdbp

@@ -98,10 +98,10 @@ RunResult run_simulation(const SimulatorOptions& opts, NextFn&& next,
   result.max_open = ledger.max_open();
   result.items = n_items;
   if (opts.keep_history) {
-    result.open_bins = ledger.open_bins_profile(ledger.clock());
     result.bins = ledger.records();
+    result.open_bins = open_bins_profile(result.bins, ledger.clock());
     result.placements.reserve(n_items);
-    for (const BinRecord& rec : ledger.records())
+    for (const BinRecord& rec : result.bins)
       for (ItemId id : rec.all_items)
         result.placements.push_back(PlacementRecord{id, rec.id});
     std::sort(result.placements.begin(), result.placements.end(),

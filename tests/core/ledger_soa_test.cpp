@@ -3,12 +3,13 @@
 // The heavy cross-algorithm equivalence lives in
 // tests/integration/equivalence_test.cpp (StorageEquivalence); this file
 // covers the pieces directly: FlatItemMap behavior under growth and
-// backward-shift deletion, the SoA ledger's observable state mirroring the
-// reference backend op by op, its error paths, the *_into query variants,
-// throughput mode (track_items=false) and its forgotten closed bins,
-// cross-backend checkpoint compatibility (byte-identical buffers, either
-// direction of restore), and the checkpoint decoder's checks on damaged
-// input.
+// backward-shift deletion, the SoA ledger mirroring the reference backend
+// op by op (every query, and the save_state bytes, which carry each open
+// bin's group, opening time, load, item count and pool, every placement
+// and the accumulators), its error paths, throughput mode
+// (track_items=false) and its forgotten closed bins, cross-backend
+// checkpoint compatibility (byte-identical buffers, either direction of
+// restore), and the checkpoint decoder's checks on damaged input.
 #include <random>
 #include <unordered_map>
 #include <vector>
@@ -103,6 +104,12 @@ TEST(FlatItemMap, ClearResets) {
 
 // --- SoA ledger behavior ---------------------------------------------------
 
+std::string saved_bytes(const Ledger& ledger) {
+  StateWriter w;
+  ledger.save_state(w);
+  return w.buffer();
+}
+
 TEST(LedgerSoa, MirrorsReferenceUnderRandomOps) {
   // Drive both backends through one random op sequence and compare every
   // observable after every op. Bitwise comparisons throughout: the SoA
@@ -110,9 +117,8 @@ TEST(LedgerSoa, MirrorsReferenceUnderRandomOps) {
   std::mt19937_64 rng(11);
   Ledger ref(LedgerStorage::kReference);
   Ledger soa(LedgerStorage::kSoa);
-  EXPECT_EQ(soa.storage(), LedgerStorage::kSoa);
-  EXPECT_STREQ(to_string(soa.storage()), "soa");
-  EXPECT_STREQ(to_string(ref.storage()), "reference");
+  EXPECT_STREQ(to_string(LedgerStorage::kSoa), "soa");
+  EXPECT_STREQ(to_string(LedgerStorage::kReference), "reference");
 
   Time now = 0.0;
   std::vector<ItemId> active;
@@ -146,16 +152,18 @@ TEST(LedgerSoa, MirrorsReferenceUnderRandomOps) {
       ASSERT_EQ(ref.best_fit(p, size), soa.best_fit(p, size));
       ASSERT_EQ(ref.worst_fit(p, size), soa.worst_fit(p, size));
       ASSERT_EQ(ref.newest_open_in_pool(p), soa.newest_open_in_pool(p));
-      ASSERT_EQ(ref.open_count_in_pool(p), soa.open_count_in_pool(p));
-      ASSERT_EQ(ref.open_bins_in_pool(p), soa.open_bins_in_pool(p));
-      ASSERT_EQ(ref.open_bins_in_group(p), soa.open_bins_in_group(p));
     }
+    for (const BinId b : ref.open_bins())
+      ASSERT_EQ(ref.pool_of(b), soa.pool_of(b));
+    ASSERT_EQ(saved_bytes(ref), saved_bytes(soa)) << "op " << op;
   }
   // Per-bin records and item lists agree once materialized.
-  ASSERT_EQ(ref.records().size(), soa.records().size());
-  for (std::size_t b = 0; b < ref.records().size(); ++b) {
-    const BinRecord& r = ref.records()[b];
-    const BinRecord& s = soa.records()[b];
+  const std::vector<BinRecord> ref_records = ref.records();
+  const std::vector<BinRecord> soa_records = soa.records();
+  ASSERT_EQ(ref_records.size(), soa_records.size());
+  for (std::size_t b = 0; b < ref_records.size(); ++b) {
+    const BinRecord& r = ref_records[b];
+    const BinRecord& s = soa_records[b];
     EXPECT_EQ(r.id, s.id);
     EXPECT_EQ(r.group, s.group);
     EXPECT_EQ(r.opened, s.opened);
@@ -163,9 +171,7 @@ TEST(LedgerSoa, MirrorsReferenceUnderRandomOps) {
     EXPECT_EQ(r.load, s.load);
     EXPECT_EQ(r.active_items, s.active_items);
     EXPECT_EQ(r.all_items, s.all_items);
-    EXPECT_EQ(ref.pool_of(r.id), soa.pool_of(s.id));
   }
-  ASSERT_EQ(ref.active_item_ids(), soa.active_item_ids());
 }
 
 TEST(LedgerSoa, ErrorPathsMatchReference) {
@@ -177,50 +183,28 @@ TEST(LedgerSoa, ErrorPathsMatchReference) {
   EXPECT_THROW(soa.remove(99, 1.0), std::logic_error);        // ghost removal
   EXPECT_THROW(soa.open_bin(-1.0), std::logic_error);  // time backwards
   EXPECT_THROW((void)soa.load(42), std::out_of_range);  // unknown bin
-  EXPECT_THROW((void)soa.record(42), std::out_of_range);
+  EXPECT_THROW((void)soa.is_open(42), std::out_of_range);
+  EXPECT_THROW((void)soa.pool_of(42), std::out_of_range);
   soa.remove(0, 1.0);  // closes b
   EXPECT_THROW(soa.place(2, 0.1, b, 1.0), std::logic_error);  // closed bin
-}
-
-TEST(LedgerSoa, IntoVariantsMatchAllocatingQueries) {
-  for (const LedgerStorage storage :
-       {LedgerStorage::kReference, LedgerStorage::kSoa}) {
-    Ledger ledger(storage);
-    const BinId a = ledger.open_bin(0.0, /*group=*/1);
-    const BinId b = ledger.open_bin(0.0, /*group=*/2);
-    ledger.place(0, 0.3, a, 0.0);
-    ledger.place(1, 0.4, b, 0.0);
-    ledger.place(2, 0.2, a, 1.0);
-
-    std::vector<BinId> bins{kNoBin};  // non-empty: _into must clear first
-    ledger.open_bins_into(bins);
-    EXPECT_EQ(bins, std::vector<BinId>(ledger.open_bins().begin(),
-                                       ledger.open_bins().end()));
-    ledger.open_bins_in_group_into(1, bins);
-    EXPECT_EQ(bins, ledger.open_bins_in_group(1));
-    ledger.open_bins_in_pool_into(1, bins);
-    EXPECT_EQ(bins, ledger.open_bins_in_pool(1));
-    ledger.open_bins_in_pool_into(99, bins);  // unknown pool clears
-    EXPECT_TRUE(bins.empty());
-
-    std::vector<ItemId> items{42};
-    ledger.active_item_ids_into(items);
-    EXPECT_EQ(items, ledger.active_item_ids());
-    EXPECT_EQ(items, (std::vector<ItemId>{0, 1, 2}));
-  }
 }
 
 TEST(LedgerSoa, ThroughputModeDropsItemLog) {
   for (const LedgerStorage storage :
        {LedgerStorage::kReference, LedgerStorage::kSoa}) {
     Ledger ledger(storage, /*track_items=*/false);
-    EXPECT_FALSE(ledger.tracks_items());
     const BinId b = ledger.open_bin(0.0);
     ledger.place(0, 0.5, b, 0.0);
     ledger.place(1, 0.25, b, 0.0);
-    // Costs and loads are unaffected; only the per-item history is gone.
+    // Costs and loads are unaffected; only the per-item history is gone
+    // (the SoA layout keeps no closed bins, so it reports no records).
     EXPECT_DOUBLE_EQ(ledger.load(b), 0.75);
-    EXPECT_TRUE(ledger.record(b).all_items.empty());
+    if (storage == LedgerStorage::kReference) {
+      EXPECT_TRUE(ledger.records().at(static_cast<std::size_t>(b))
+                      .all_items.empty());
+    } else {
+      EXPECT_THROW((void)ledger.records(), std::logic_error);
+    }
     // Checkpoints never carry that history, so they are the same bytes
     // with or without it.
     Ledger tracked(storage);
@@ -277,7 +261,9 @@ TEST(LedgerSoa, EitherBackendRestoresTheOtherBackendsCheckpoint) {
       EXPECT_EQ(restored.total_usage(5.0), writer.total_usage(5.0));
       EXPECT_EQ(restored.first_fit(0, 0.3), writer.first_fit(0, 0.3));
       EXPECT_EQ(restored.best_fit(7, 0.3), writer.best_fit(7, 0.3));
-      EXPECT_EQ(restored.active_item_ids(), writer.active_item_ids());
+      EXPECT_EQ(restored.active_items(), writer.active_items());
+      for (ItemId id = 0; id < 4; ++id)
+        EXPECT_EQ(restored.bin_of(id), writer.bin_of(id));
       // ...and a re-serialization reproduces the original bytes.
       StateWriter again;
       restored.save_state(again);
@@ -302,9 +288,9 @@ TEST(LedgerSoa, LoadStateRequiresFreshLedger) {
 // Throughput-mode SoA against the reference under churn that keeps emptying
 // pools (so the SoA layout releases their indexes and recreates them) while
 // one busy pool grows past the compaction threshold. At every step every
-// open-bin query, bins_opened, max_open and the total_usage bits agree; a
-// closed bin answers false / false / 0.0, and its pool, group and record
-// are forgotten.
+// fit query, bins_opened, max_open, the total_usage bits and the save_state
+// bytes agree; a closed bin answers false / false / 0.0 in both layouts,
+// and neither names its pool.
 TEST(LedgerSoa, ThroughputModeMatchesReferenceUnderPoolChurn) {
   std::mt19937_64 rng(29);
   Ledger ref(LedgerStorage::kReference, /*track_items=*/false);
@@ -350,19 +336,13 @@ TEST(LedgerSoa, ThroughputModeMatchesReferenceUnderPoolChurn) {
       ASSERT_EQ(ref.best_fit(p, size), soa.best_fit(p, size));
       ASSERT_EQ(ref.worst_fit(p, size), soa.worst_fit(p, size));
       ASSERT_EQ(ref.newest_open_in_pool(p), soa.newest_open_in_pool(p));
-      ASSERT_EQ(ref.open_count_in_pool(p), soa.open_count_in_pool(p));
-      ASSERT_EQ(ref.open_bins_in_pool(p), soa.open_bins_in_pool(p));
-      ASSERT_EQ(ref.open_bins_in_group(p + kGroupOffset),
-                soa.open_bins_in_group(p + kGroupOffset));
     }
     for (const BinId b : ref.open_bins()) {
       ASSERT_EQ(ref.fits(b, size), soa.fits(b, size));
       ASSERT_EQ(ref.load(b), soa.load(b));
-      ASSERT_EQ(ref.group_of(b), soa.group_of(b));
       ASSERT_EQ(ref.pool_of(b), soa.pool_of(b));
-      ASSERT_EQ(ref.record(b).opened, soa.record(b).opened);
-      ASSERT_EQ(ref.record(b).active_items, soa.record(b).active_items);
     }
+    ASSERT_EQ(saved_bytes(ref), saved_bytes(soa)) << "op " << op;
     const auto probe = static_cast<BinId>(
         rng() % static_cast<std::uint64_t>(soa.bins_opened()));
     ASSERT_EQ(ref.is_open(probe), soa.is_open(probe));
@@ -370,14 +350,13 @@ TEST(LedgerSoa, ThroughputModeMatchesReferenceUnderPoolChurn) {
     ASSERT_EQ(ref.load(probe), soa.load(probe));
     if (!soa.is_open(probe)) {
       ASSERT_EQ(soa.load(probe), 0.0);
+      ASSERT_FALSE(soa.fits(probe, 0.0));
+      ASSERT_THROW((void)ref.pool_of(probe), std::out_of_range);
       ASSERT_THROW((void)soa.pool_of(probe), std::out_of_range);
-      ASSERT_THROW((void)soa.group_of(probe), std::out_of_range);
-      ASSERT_THROW((void)soa.record(probe), std::out_of_range);
     }
   }
   EXPECT_GT(ref.bins_opened(), 2000u);
   EXPECT_THROW((void)soa.records(), std::logic_error);
-  EXPECT_THROW((void)soa.open_bins_profile(now), std::logic_error);
 }
 
 // --- Checkpoint decoder ------------------------------------------------------
@@ -407,10 +386,21 @@ Ledger churned_ledger(LedgerStorage storage) {
   return ledger;
 }
 
-std::string saved_bytes(const Ledger& ledger) {
-  StateWriter w;
-  ledger.save_state(w);
-  return w.buffer();
+/// Item ids a save_state buffer places, read straight from its bytes:
+/// (next bin, open-bin count, 6 words per open bin, placement count,
+/// (id, bin, size) per placement).
+std::vector<ItemId> placed_item_ids(const std::string& bytes) {
+  StateReader r(bytes);
+  (void)r.u64();
+  const std::uint64_t open_words = 6 * r.u64();
+  for (std::uint64_t i = 0; i < open_words; ++i) (void)r.u64();
+  std::vector<ItemId> ids(static_cast<std::size_t>(r.u64()));
+  for (ItemId& id : ids) {
+    id = r.i64();
+    (void)r.i64();
+    (void)r.f64();
+  }
+  return ids;
 }
 
 /// Overwrites the i64 at `offset` (little-endian).
@@ -573,7 +563,7 @@ TEST(LedgerCheckpoint, AnySingleByteFlipIsRefusedOrSafe) {
         (void)ledger.worst_fit(p, 0.5);
         (void)ledger.newest_open_in_pool(p);
       }
-      for (const ItemId id : ledger.active_item_ids()) {
+      for (const ItemId id : placed_item_ids(bad)) {
         try {
           ledger.remove(id, ledger.clock());
         } catch (const std::logic_error&) {
