@@ -29,12 +29,25 @@ namespace {
                            "': " + std::strerror(err));
 }
 
-void backoff_sleep(const RetryPolicy& rp, std::uint32_t attempt) {
-  const std::uint64_t shift = std::min<std::uint32_t>(attempt, 16);
-  const std::uint64_t us = std::min<std::uint64_t>(
-      rp.backoff_max_us,
-      static_cast<std::uint64_t>(rp.backoff_initial_us) << shift);
-  if (us > 0) std::this_thread::sleep_for(std::chrono::microseconds(us));
+// The transient-retry budget (docs/FAULTS.md): 128 retries, backoff
+// doubling from 20 us to 2 ms, about 0.25 s in all.
+constexpr std::uint32_t kMaxTransientRetries = 128;
+constexpr std::uint64_t kBackoffInitialUs = 20;
+constexpr std::uint64_t kBackoffMaxUs = 2000;
+
+/// Runs `op(err)` until it returns true, retrying transient errors within
+/// the budget; any other error, or a spent budget, throws `what` on `path`.
+template <typename Op>
+void retry_transient(const char* what, const std::string& path, Op&& op) {
+  for (std::uint32_t retries = 0;; ++retries) {
+    int err = 0;
+    if (op(err)) return;
+    if (!transient_errno(err) || retries == kMaxTransientRetries)
+      throw_errno(what, path, err);
+    const std::uint64_t us = std::min(
+        kBackoffMaxUs, kBackoffInitialUs << std::min(retries, 16u));
+    std::this_thread::sleep_for(std::chrono::microseconds(us));
+  }
 }
 
 // splitmix64: the chaos profile's per-operation hash.
@@ -67,134 +80,83 @@ bool transient_errno(int err) noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// Throwing helpers (retry policy lives here, not in the Env primitives)
+// Throwing helpers (the retry budget lives here, not in the Env primitives)
 
 std::unique_ptr<File> open_file(Env& env, const std::string& path,
-                                OpenMode mode, const RetryPolicy& rp) {
-  std::uint32_t transient = 0;
-  for (;;) {
-    int err = 0;
-    std::unique_ptr<File> f = env.open(path, mode, err);
-    if (f) return f;
-    if (transient_errno(err) && transient < rp.max_transient_retries) {
-      backoff_sleep(rp, ++transient);
-      continue;
-    }
-    throw_errno("open", path, err);
-  }
+                                OpenMode mode) {
+  std::unique_ptr<File> f;
+  retry_transient("open", path, [&](int& err) {
+    f = env.open(path, mode, err);
+    return f != nullptr;
+  });
+  return f;
 }
 
 void write_all(File& f, const void* data, std::size_t n,
-               const std::string& path, const RetryPolicy& rp) {
+               const std::string& path) {
   const char* p = static_cast<const char*>(data);
   std::size_t left = n;
-  std::uint32_t transient = 0;
   while (left > 0) {
-    int err = 0;
-    const std::int64_t w = f.write(p, left, err);
-    if (w < 0) {
-      if (transient_errno(err) && transient < rp.max_transient_retries) {
-        backoff_sleep(rp, ++transient);
-        continue;
-      }
-      throw_errno("write", path, err);
-    }
+    std::int64_t w = 0;
+    retry_transient("write", path, [&](int& err) {
+      w = f.write(p, left, err);
+      return w >= 0;
+    });
     if (w == 0)
       throw std::runtime_error("write accepted 0 bytes for '" + path + "'");
-    transient = 0;
     p += w;
     left -= static_cast<std::size_t>(w);
   }
 }
 
-void sync_file(File& f, const std::string& path, const RetryPolicy& rp) {
-  std::uint32_t transient = 0;
-  for (;;) {
-    int err = 0;
-    if (f.sync(err) == 0) return;
-    // EINTR before the flush started is retryable; a *reported* fsync
-    // failure is not — the kernel may already have dropped the dirty pages.
-    if (transient_errno(err) && transient < rp.max_transient_retries) {
-      backoff_sleep(rp, ++transient);
-      continue;
-    }
-    throw_errno("fsync", path, err);
-  }
+void sync_file(File& f, const std::string& path) {
+  // EINTR before the flush started is retryable; a *reported* fsync
+  // failure is not — the kernel may already have dropped the dirty pages.
+  retry_transient("fsync", path, [&](int& err) { return f.sync(err) == 0; });
 }
 
-void truncate_file(File& f, std::uint64_t size, const std::string& path,
-                   const RetryPolicy& rp) {
-  std::uint32_t transient = 0;
-  for (;;) {
-    int err = 0;
-    if (f.truncate(size, err) == 0) return;
-    if (transient_errno(err) && transient < rp.max_transient_retries) {
-      backoff_sleep(rp, ++transient);
-      continue;
-    }
-    throw_errno("truncate", path, err);
-  }
+void truncate_file(File& f, std::uint64_t size, const std::string& path) {
+  retry_transient("truncate", path,
+                  [&](int& err) { return f.truncate(size, err) == 0; });
 }
 
-std::unique_ptr<File> open_existing(Env& env, const std::string& path,
-                                    const RetryPolicy& rp) {
-  std::uint32_t transient = 0;
-  for (;;) {
-    int err = 0;
-    std::unique_ptr<File> f = env.open(path, OpenMode::kRead, err);
-    if (f) return f;
-    // ENOENT stays "missing" even when transient noise preceded it: a
-    // retried open must not turn an absent file into a hard error.
-    if (err == ENOENT) return nullptr;
-    if (transient_errno(err) && transient < rp.max_transient_retries) {
-      backoff_sleep(rp, ++transient);
-      continue;
-    }
-    throw_errno("open", path, err);
-  }
+std::unique_ptr<File> open_existing(Env& env, const std::string& path) {
+  std::unique_ptr<File> f;
+  // ENOENT stays "missing" even when transient noise preceded it: a
+  // retried open must not turn an absent file into a hard error.
+  retry_transient("open", path, [&](int& err) {
+    f = env.open(path, OpenMode::kRead, err);
+    return f != nullptr || err == ENOENT;
+  });
+  return f;
 }
 
 std::size_t read_some(File& f, void* buf, std::size_t n,
-                      const std::string& path, const RetryPolicy& rp) {
-  std::uint32_t transient = 0;
-  for (;;) {
-    int err = 0;
-    const std::int64_t r = f.read(buf, n, err);
-    if (r >= 0) return static_cast<std::size_t>(r);
-    if (transient_errno(err) && transient < rp.max_transient_retries) {
-      backoff_sleep(rp, ++transient);
-      continue;
-    }
-    throw_errno("read", path, err);
-  }
+                      const std::string& path) {
+  std::int64_t r = 0;
+  retry_transient("read", path, [&](int& err) {
+    r = f.read(buf, n, err);
+    return r >= 0;
+  });
+  return static_cast<std::size_t>(r);
 }
 
-bool read_file(Env& env, const std::string& path, std::string& out,
-               const RetryPolicy& rp) {
+bool read_file(Env& env, const std::string& path, std::string& out) {
   out.clear();
-  const std::unique_ptr<File> f = open_existing(env, path, rp);
+  const std::unique_ptr<File> f = open_existing(env, path);
   if (!f) return false;
   char buf[1 << 16];
-  while (const std::size_t r = read_some(*f, buf, sizeof(buf), path, rp))
+  while (const std::size_t r = read_some(*f, buf, sizeof(buf), path))
     out.append(buf, r);
   int cerr = 0;
   (void)f->close(cerr);
   return true;
 }
 
-void sync_parent_dir(Env& env, const std::string& path,
-                     const RetryPolicy& rp) {
+void sync_parent_dir(Env& env, const std::string& path) {
   const std::string dir = parent_dir(path);
-  std::uint32_t transient = 0;
-  for (;;) {
-    int err = 0;
-    if (env.sync_dir(dir, err) == 0) return;
-    if (transient_errno(err) && transient < rp.max_transient_retries) {
-      backoff_sleep(rp, ++transient);
-      continue;
-    }
-    throw_errno("fsync (directory)", dir, err);
-  }
+  retry_transient("fsync (directory)", dir,
+                  [&](int& err) { return env.sync_dir(dir, err) == 0; });
 }
 
 // ---------------------------------------------------------------------------

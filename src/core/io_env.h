@@ -13,7 +13,8 @@
 // Error model: `File`/`Env` primitives are non-throwing and report failures
 // POSIX-style (negative return + errno out-parameter). The free helpers below
 // (`write_all`, `sync_file`, `read_file`, ...) layer the policy on top:
-// genuinely transient errors (EINTR/EAGAIN) are retried with bounded backoff;
+// genuinely transient errors (EINTR/EAGAIN) are retried with bounded backoff
+// (a fixed budget: 128 retries, backoff doubling from 20 us to 2 ms);
 // everything else throws `std::runtime_error` so callers keep their existing
 // poison-on-failure semantics. fsync failure is deliberately *not* retried
 // after it has been reported (the "fsync-gate" lesson: a later successful
@@ -162,60 +163,49 @@ class Env {
 [[nodiscard]] std::string parent_dir(const std::string& path);
 
 // ---------------------------------------------------------------------------
-// Retry policy + throwing helpers
-
-/// Bounded retry-with-backoff for *transient* errors only (EINTR/EAGAIN).
-struct RetryPolicy {
-  std::uint32_t max_transient_retries = 128;
-  std::uint32_t backoff_initial_us = 20;
-  std::uint32_t backoff_max_us = 2000;
-};
+// Throwing helpers. Each retries *transient* errors only (EINTR/EAGAIN),
+// within the fixed budget of the file comment, then throws.
 
 [[nodiscard]] bool transient_errno(int err) noexcept;
 
 /// Opens `path`, retrying transient failures; throws std::runtime_error
 /// (message includes path + strerror) on hard failure.
 [[nodiscard]] std::unique_ptr<File> open_file(Env& env, const std::string& path,
-                                              OpenMode mode,
-                                              const RetryPolicy& rp = {});
+                                              OpenMode mode);
 
 /// Writes all `n` bytes, looping over short writes and retrying transient
 /// errors; throws on hard failure (e.g. ENOSPC) or when the file stalls
-/// (repeatedly accepts 0 bytes).
+/// (accepts 0 bytes).
 void write_all(File& f, const void* data, std::size_t n,
-               const std::string& path, const RetryPolicy& rp = {});
+               const std::string& path);
 
 /// fsync with EINTR/EAGAIN retry. A reported fsync *failure* (EIO, ENOSPC)
 /// throws immediately and must be treated as sticky by the caller: the
 /// kernel may have dropped the dirty pages, so retrying the fsync would
 /// falsely report durability.
-void sync_file(File& f, const std::string& path, const RetryPolicy& rp = {});
+void sync_file(File& f, const std::string& path);
 
 /// ftruncate with transient retry; throws on hard failure.
-void truncate_file(File& f, std::uint64_t size, const std::string& path,
-                   const RetryPolicy& rp = {});
+void truncate_file(File& f, std::uint64_t size, const std::string& path);
 
 /// Opens `path` for reading, retrying transient failures. Returns nullptr
 /// if the file does not exist; throws on any other error.
 [[nodiscard]] std::unique_ptr<File> open_existing(Env& env,
-                                                  const std::string& path,
-                                                  const RetryPolicy& rp = {});
+                                                  const std::string& path);
 
 /// One read of up to `n` bytes, retrying transient errors. Returns the byte
 /// count (0 = EOF); throws on a hard error (EIO), which is never EOF.
 [[nodiscard]] std::size_t read_some(File& f, void* buf, std::size_t n,
-                                    const std::string& path,
-                                    const RetryPolicy& rp = {});
+                                    const std::string& path);
 
 /// Reads the whole file into `out`. Returns false (out empty) if the file
 /// does not exist; throws on any other error.
 [[nodiscard]] bool read_file(Env& env, const std::string& path,
-                             std::string& out, const RetryPolicy& rp = {});
+                             std::string& out);
 
 /// Fsyncs the parent directory of `path` (makes renames/creates/unlinks of
 /// that entry durable). Throws on hard failure.
-void sync_parent_dir(Env& env, const std::string& path,
-                     const RetryPolicy& rp = {});
+void sync_parent_dir(Env& env, const std::string& path);
 
 // ---------------------------------------------------------------------------
 // Fault injection

@@ -38,15 +38,6 @@ class IoEnvTest : public ::testing::Test {
   fs::path dir_;
 };
 
-// Tight policy for tests that exercise retry exhaustion: no visible sleep.
-RetryPolicy fast_retry() {
-  RetryPolicy rp;
-  rp.max_transient_retries = 4;
-  rp.backoff_initial_us = 1;
-  rp.backoff_max_us = 1;
-  return rp;
-}
-
 /// Creates `p` through `env` with `content` fully durable (data fsynced,
 /// entry dir-fsynced) — the baseline most power-loss tests mutate from.
 void write_durable(Env& env, const std::string& p, const std::string& content) {
@@ -154,7 +145,9 @@ TEST_F(IoEnvTest, UnboundedEintrExhaustsTheRetryBudget) {
   env.add_rule(rule);
   const std::string p = path("wedged.bin");
   auto f = open_file(env, p, OpenMode::kTruncate);
-  EXPECT_THROW(write_all(*f, "abc", 3, p, fast_retry()), std::runtime_error);
+  // The fixed budget: 128 retries with backoff capped at 2 ms, ~0.25 s.
+  EXPECT_THROW(write_all(*f, "abc", 3, p), std::runtime_error);
+  EXPECT_EQ(env.faults_injected(), 129u);
 }
 
 TEST_F(IoEnvTest, TransientFsyncRetriesStickyDoesNot) {
@@ -325,7 +318,7 @@ TEST_F(IoEnvTest, PowerCutFailsEverythingUntilReboot) {
   // and stays clean; the write is match 1 and hits the cut.
   env.arm_power_cut(1);
   auto f = open_file(env, p, OpenMode::kAppend);  // op before the cut: fine
-  EXPECT_THROW(write_all(*f, "xx", 2, p, fast_retry()), std::runtime_error);
+  EXPECT_THROW(write_all(*f, "xx", 2, p), std::runtime_error);
   EXPECT_TRUE(env.powered_off());
   int err = 0;
   EXPECT_EQ(env.open(p, OpenMode::kRead, err), nullptr);  // still dark
