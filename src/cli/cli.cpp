@@ -899,7 +899,6 @@ int cmd_serve(Flags& flags, std::ostream& out, std::ostream& err) {
     lc.loops = std::max<std::size_t>(loops, 1);
     lc.quota_rate = quota_rate;
     lc.quota_burst = quota_burst;
-    lc.admission = rc.admission;
     lc.force_poll = force_poll;
     net::NetListener listener(lc, router);
     // The bound port resolves --listen :0; print it first and flush so a

@@ -608,10 +608,11 @@ bool NetListener::submit_offer(Loop& loop,
   // The event loop must never block on a full shard queue: kBlock is
   // emulated with parking + read throttling, so the actual push downgrades
   // to kReject.
+  const serve::AdmissionPolicy admission = router_.admission();
   const serve::AdmissionPolicy push_policy =
-      config_.admission == serve::AdmissionPolicy::kBlock
+      admission == serve::AdmissionPolicy::kBlock
           ? serve::AdmissionPolicy::kReject
-          : config_.admission;
+          : admission;
   const serve::SubmitStatus st =
       router_.try_submit_as(std::move(sreq), push_policy);
   switch (st) {
@@ -624,7 +625,7 @@ bool NetListener::submit_offer(Loop& loop,
         std::lock_guard<std::mutex> lock(inflight_mu_);
         inflight_.erase(inflight_key(conn->tenant, req.id));
       }
-      if (config_.admission == serve::AdmissionPolicy::kBlock)
+      if (admission == serve::AdmissionPolicy::kBlock)
         return false;  // caller parks
       terminal_offers_.fetch_add(1, std::memory_order_relaxed);
       ctr_->offers_failed.fetch_add(1, std::memory_order_relaxed);

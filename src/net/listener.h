@@ -13,7 +13,8 @@
 //    being read (its poller read interest is dropped) until the buffer
 //    drains below `wbuf_low` — a slow-reading client throttles itself, not
 //    the server;
-//  - shard side: admission follows RouterConfig::admission. kReject/kShed
+//  - shard side: admission follows the router's policy
+//    (ShardRouter::admission(), set by RouterConfig::admission). kReject/kShed
 //    map a full queue to the typed kBackpressure error (shed admits, the
 //    victim is acked kDropped by the router). kBlock must not block an
 //    event loop, so the listener parks the offer on its connection, pauses
@@ -60,9 +61,6 @@ struct ListenerConfig {
   std::size_t max_tenant_bytes = 64;
   double quota_rate = 0.0;   ///< offers/sec/tenant; 0 = unlimited
   double quota_burst = 0.0;  ///< bucket cap; 0 = same as rate
-  /// Admission behavior on a full shard queue (see file comment). Should
-  /// match the router's policy; kBlock is emulated by parking.
-  serve::AdmissionPolicy admission = serve::AdmissionPolicy::kBlock;
   std::size_t wbuf_high = 256 * 1024;
   std::size_t wbuf_low = 64 * 1024;
   bool force_poll = false;  ///< exercise the poll(2) fallback

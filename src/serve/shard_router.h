@@ -206,6 +206,11 @@ class ShardRouter {
   /// it implements blocking itself by parking offers and throttling reads.
   SubmitStatus try_submit_as(ServeRequest req, AdmissionPolicy policy);
 
+  /// RouterConfig::admission: what a full queue does to try_submit.
+  [[nodiscard]] AdmissionPolicy admission() const noexcept {
+    return config_.admission;
+  }
+
   /// Installs the per-request completion hook. Must be called before the
   /// first submit (the happens-before edge is the queue mutex; installing
   /// while workers are already draining is a race). Pass {} to clear.

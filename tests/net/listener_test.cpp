@@ -477,11 +477,10 @@ TEST_F(NetListenerTest, QuotaExhaustionIsTypedAndTheConnectionSurvives) {
 }
 
 TEST_F(NetListenerTest, RejectAdmissionMapsFullQueueToBackpressure) {
-  start(1, [](serve::RouterConfig& rc, ListenerConfig& lc) {
+  start(1, [](serve::RouterConfig& rc, ListenerConfig&) {
     rc.queue_capacity = 2;
     rc.admission = serve::AdmissionPolicy::kReject;
     rc.worker_delay_us = 3000;  // slow consumer: the queue must fill
-    lc.admission = serve::AdmissionPolicy::kReject;
   });
   RawConn conn(listener_->port());
   conn.send_magic();
