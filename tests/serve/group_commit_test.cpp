@@ -4,12 +4,14 @@
 // byte the kernel had not yet been told to sync.
 #include "serve/group_commit.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <mutex>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -113,6 +115,24 @@ TEST(GroupCommitTest, FsyncFailureIsStickyAndNeverRetried) {
   // rethrow without touching the file again, not "retry and succeed".
   EXPECT_THROW(gc.sync_and_wait(target), std::runtime_error);
   EXPECT_EQ(target.attempts.load(), 1);
+}
+
+TEST(GroupCommitTest, NewTargetAtAFailedTargetsAddressStartsClean) {
+  // A shard WAL that failed and was destroyed must not poison whatever is
+  // built next at its address: the failure belongs to the dead target.
+  GroupCommitCoordinator gc;
+  alignas(ThrowingSync) alignas(GatedSync) unsigned char
+      storage[std::max(sizeof(ThrowingSync), sizeof(GatedSync))];
+  auto* dead = new (storage) ThrowingSync;
+  EXPECT_THROW(gc.sync_and_wait(*dead), std::runtime_error);
+  dead->~ThrowingSync();
+
+  auto* fresh = new (storage) GatedSync;
+  ASSERT_EQ(static_cast<void*>(fresh), static_cast<void*>(storage));
+  fresh->open_gate();
+  EXPECT_NO_THROW(gc.sync_and_wait(*fresh));
+  EXPECT_EQ(fresh->syncs(), 1);
+  fresh->~GatedSync();
 }
 
 TEST(GroupCommitTest, IndependentTargetsCommitInOneRound) {
