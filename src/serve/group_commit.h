@@ -1,88 +1,71 @@
-// Group commit: one fsync round amortized over every shard WAL with
-// pending frames, instead of one fsync per acknowledged record.
+// Group commit: every writer waiting on one WAL shares one fsync, instead
+// of one fsync per acknowledged record.
 //
 // Under FsyncPolicy::kEvery each offer must be durable before it is
 // acknowledged, which naively costs one fsync per record and makes the
-// safe mode disk-bound. The coordinator collapses that: writers append
-// their frames (plain write(2), cheap), then call sync_and_wait(). All
-// waiters that arrive before the committer thread starts the next round
-// are released by one round, which issues a single fsync per *distinct
-// dirty file* — so N shards with M pending offers each pay N fsyncs per
-// round, not N*M.
-// The architecture mirrors an async-IO submission queue (cf. FlashGraph's
-// libsafs, see ROADMAP): producers enqueue, one committer drains.
+// safe mode disk-bound. Writers append their frames (plain write(2),
+// cheap), then call sync_and_wait(). There is no committer thread: the
+// caller runs the target's fsync itself, so distinct shard WALs fsync
+// concurrently on their own workers. A caller that finds an fsync of its
+// target already in flight waits for it, and then one follow-up fsync,
+// started by the first of them to wake, covers every waiter that arrived
+// meanwhile (the in-flight fsync is the batching window).
 //
-// Ordering guarantee: a round only releases waiters whose frames were
-// written before the round's fsync was issued — sync_and_wait() returns
-// only after a commit round that *started after* the registration
-// completed, so an acknowledged offer is always on disk.
+// Ordering guarantee: sync_and_wait() returns only after an fsync of the
+// target that *started after* the call did, so an acknowledged offer is
+// always on disk.
 //
 // Failure: if a target's fsync fails, every current and future
 // sync_and_wait() on that target rethrows the stored error (fsync failure
 // leaves durability indeterminate — the owning session must poison
-// itself, not retry).
+// itself, not retry). The failure lives in the target, so it ends with it.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <map>
 #include <mutex>
-#include <set>
-#include <thread>
 
 namespace cdbp::serve {
 
 /// A log file the coordinator can force to disk. Implemented by
-/// SegmentedWal (fsync of the active segment). sync_file() is called from
-/// the committer thread only while every owner of pending frames is blocked
-/// in sync_and_wait(), so implementations need no extra locking against the
-/// append path.
+/// SegmentedWal (fsync of the active segment). sync_file() runs on a
+/// thread inside sync_and_wait() on this target, never two at once, while
+/// every owner of pending frames is blocked there, so implementations
+/// need no extra locking against the append path.
 class WalSyncable {
  public:
   virtual ~WalSyncable() = default;
   virtual void sync_file() = 0;
+
+ private:
+  friend class GroupCommitCoordinator;
+  // Commit state, guarded by the mutex of the one coordinator this target
+  // is used with. fsyncs started and finished; one is in flight while
+  // they differ.
+  std::uint64_t started_ = 0;
+  std::uint64_t finished_ = 0;
+  std::exception_ptr failure_;
+  std::condition_variable fsync_done_;
 };
 
 class GroupCommitCoordinator {
  public:
-  /// Starts the committer thread. It commits as soon as it wakes; waiters
-  /// arriving while an fsync round is in flight batch into the next round
-  /// (the fsync itself is the batching window).
-  GroupCommitCoordinator();
-  ~GroupCommitCoordinator();
-
-  GroupCommitCoordinator(const GroupCommitCoordinator&) = delete;
-  GroupCommitCoordinator& operator=(const GroupCommitCoordinator&) = delete;
-
-  /// Marks `target` dirty and blocks until a commit round that started
-  /// after this call has fsynced it. Rethrows the round's error for this
-  /// target, if any. Thread-safe; callable from many threads at once.
+  /// Runs or joins an fsync of `target` that starts after this call, and
+  /// blocks until it has finished. Rethrows the target's fsync error, if
+  /// any. Thread-safe; callable from many threads at once.
   void sync_and_wait(WalSyncable& target);
 
-  /// Commit rounds completed so far.
+  /// fsyncs started so far, one per target per commit round.
   [[nodiscard]] std::uint64_t rounds() const;
-  /// Individual file fsyncs issued across all rounds (<= one per dirty
-  /// target per round; the amortization win is syncs() << waiters served).
+  /// fsyncs that succeeded (the amortization win is syncs() << waiters
+  /// served).
   [[nodiscard]] std::uint64_t syncs() const;
 
  private:
-  void committer_loop();
-
   mutable std::mutex mutex_;
-  std::condition_variable committer_cv_;
-  std::condition_variable waiters_cv_;
-  std::set<WalSyncable*> pending_;
-  /// Round the current pending_ set will be committed in.
-  std::uint64_t next_round_ = 1;
-  std::uint64_t completed_round_ = 0;
   std::uint64_t rounds_ = 0;
   std::uint64_t syncs_ = 0;
-  /// Per-target sticky failure: once a target's fsync failed, every later
-  /// sync_and_wait on it rethrows this without touching the file again.
-  std::map<WalSyncable*, std::exception_ptr> failed_;
-  bool stopping_ = false;
-  std::thread committer_;
 };
 
 }  // namespace cdbp::serve

@@ -185,8 +185,8 @@ ShardRouter::ShardRouter(RouterConfig config,
   if (!make_algo) throw std::invalid_argument("serve: null algorithm factory");
   make_dir(io::env_or_posix(config_.env), config_.wal_dir);
 
-  // One committer thread merges every shard's kEvery fsyncs into shared
-  // rounds; pointless (and pure overhead) under kNone.
+  // Each shard's kEvery fsync runs on its own worker through one shared
+  // coordinator, which counts them; pointless under kNone.
   if (config_.fsync == FsyncPolicy::kEvery)
     group_commit_ = std::make_unique<GroupCommitCoordinator>();
 

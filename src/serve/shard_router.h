@@ -27,8 +27,8 @@
 // kWorkerBatch requests), appends each offer with deferred durability,
 // then issues ONE commit() for the whole batch before acknowledging any
 // of it — so under fsync=every a busy shard pays one fsync per drained
-// batch, not one per offer, and that single fsync is further merged
-// across shards by the shared GroupCommitCoordinator. An offer is never
+// batch, not one per offer, and shards run those fsyncs concurrently,
+// each on its own worker (GroupCommitCoordinator). An offer is never
 // acknowledged (kApplied through the ack callback) before its commit
 // returned.
 //

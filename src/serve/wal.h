@@ -85,9 +85,8 @@ struct WalRecord {
 };
 
 /// Append-side handle for one segment file. Not thread-safe: each
-/// shard's WAL is written only by that shard's worker (the group-commit
-/// committer thread only calls sync() while the owner is blocked waiting on
-/// it). Throws std::runtime_error on I/O failure.
+/// shard's WAL is written and synced only by that shard's worker. Throws
+/// std::runtime_error on I/O failure.
 class WalWriter {
  public:
   /// Opens (creating if needed) `path`. `truncate` starts a fresh segment

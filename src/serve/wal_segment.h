@@ -134,8 +134,7 @@ std::uint64_t repair_segmented_wal(const std::string& base,
                                    io::Env* env = nullptr);
 
 /// Append-side handle over the segment chain. Not thread-safe (one shard
-/// worker), except that sync_file() may be invoked by the group-commit
-/// committer while the owner is blocked inside commit().
+/// worker).
 ///
 /// Write path: append() writes, commit() makes durable. An acknowledgement
 /// may only follow the commit() that covers its record.
@@ -180,7 +179,7 @@ class SegmentedWal final : public WalSyncable {
   void commit();
 
   /// Unconditional direct fsync of the active segment, whatever the
-  /// policy. The group-commit committer calls it (WalSyncable), and so
+  /// policy. The group-commit coordinator calls it (WalSyncable), and so
   /// does a checkpoint, to order the WAL before the checkpoint.
   void sync_file() override;
 
