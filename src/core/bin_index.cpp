@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 
 #include "obs/obs.h"
 
@@ -112,10 +111,7 @@ BinId BinCapacityIndex::first_fit(Load size) const {
 BinId BinCapacityIndex::best_fit(Load size) const {
   g_probes.add();
   if (!by_load_active_) activate_by_load();
-  if (by_load_.empty()) return kNoBin;
-  const Load bound = max_load_admitting(size);
-  auto it = by_load_.upper_bound(
-      {bound, std::numeric_limits<BinId>::max()});
+  auto it = by_load_.upper_bound(Admits{size});
   if (it == by_load_.begin()) return kNoBin;
   --it;
   // Ties on load resolve to the earliest-opened (smallest-id) bin.

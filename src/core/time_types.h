@@ -64,26 +64,6 @@ inline constexpr double kTimeEps = 1e-9;
   return a > b + kLoadEps;
 }
 
-/// Largest load value that still admits `size` under fits_in_bin, computed
-/// exactly on the double grid (fits_in_bin is monotone non-increasing in
-/// load, so the admitting loads form a prefix of the number line). Used by
-/// the capacity index to turn the tolerance predicate into a key bound.
-/// For a valid size the bound lies in [0, 2), where the bit patterns of
-/// non-negative doubles order like their values, so a bisection over them
-/// takes at most 62 probes whatever the size (near a full bin the bound is
-/// a few ulps above 0, ~4e18 ulps from 1 + eps - size). A size
-/// valid_item_size rejects gets -inf, below every load.
-[[nodiscard]] inline Load max_load_admitting(Load size) noexcept {
-  if (!valid_item_size(size)) return -std::numeric_limits<double>::infinity();
-  std::uint64_t lo = std::bit_cast<std::uint64_t>(0.0);  // admits
-  std::uint64_t hi = std::bit_cast<std::uint64_t>(2.0);  // does not
-  while (hi - lo > 1) {
-    const std::uint64_t mid = lo + (hi - lo) / 2;
-    (fits_in_bin(std::bit_cast<double>(mid), size) ? lo : hi) = mid;
-  }
-  return std::bit_cast<double>(lo);
-}
-
 /// True when |a - b| is within load tolerance.
 [[nodiscard]] inline bool approx_equal(double a, double b,
                                        double eps = kLoadEps) noexcept {

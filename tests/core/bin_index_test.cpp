@@ -1,5 +1,9 @@
 #include "core/bin_index.h"
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <random>
 #include <vector>
@@ -9,38 +13,69 @@
 namespace cdbp {
 namespace {
 
-TEST(MaxLoadAdmitting, MatchesFitsInBinBoundaryExactly) {
-  std::mt19937_64 rng(7);
-  std::uniform_real_distribution<double> unit(1e-6, 1.0);
-  for (int k = 0; k < 2000; ++k) {
-    const Load size = unit(rng);
-    const Load bound = max_load_admitting(size);
-    EXPECT_TRUE(fits_in_bin(bound, size));
-    EXPECT_FALSE(fits_in_bin(
-        std::nextafter(bound, std::numeric_limits<double>::infinity()),
-        size));
+/// The largest load admitting `size`, by bisection over the bit patterns
+/// of [0, 2), where non-negative doubles order like their values: the
+/// exact boundary best_fit has to find (fits_in_bin is monotone in load).
+Load admission_boundary(Load size) {
+  std::uint64_t lo = std::bit_cast<std::uint64_t>(0.0);  // admits
+  std::uint64_t hi = std::bit_cast<std::uint64_t>(2.0);  // does not
+  while (hi - lo > 1) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    (fits_in_bin(std::bit_cast<double>(mid), size) ? lo : hi) = mid;
   }
+  return std::bit_cast<double>(lo);
+}
+
+/// Bins one ulp either side of the boundary, two at it and an empty one:
+/// best_fit must pick the earlier bin at the boundary, as a linear scan
+/// does.
+void expect_best_fit_at_boundary(Load size) {
+  SCOPED_TRACE(testing::Message() << "size " << size);
+  const Load bound = admission_boundary(size);
+  const Load above = std::nextafter(bound, 2.0);
+  ASSERT_TRUE(fits_in_bin(bound, size));
+  ASSERT_FALSE(fits_in_bin(above, size));
+  const std::vector<Load> loads = {above, std::nextafter(bound, 0.0), bound,
+                                   bound, 0.0, above};
+  BinCapacityIndex idx;
+  BinId scan = kNoBin;
+  for (std::size_t b = 0; b < loads.size(); ++b) {
+    idx.set_load(idx.add_bin(static_cast<BinId>(b)), loads[b]);
+    if (fits_in_bin(loads[b], size) &&
+        (scan == kNoBin || loads[b] > loads[static_cast<std::size_t>(scan)]))
+      scan = static_cast<BinId>(b);
+  }
+  ASSERT_EQ(loads[static_cast<std::size_t>(scan)], bound);
+  EXPECT_EQ(idx.best_fit(size), scan);
+}
+
+TEST(BestFitBoundary, PicksTheEarliestBinAtTheAdmissionBoundary) {
   // Degenerate sizes: zero, tiny, near full, full, and the largest size an
-  // empty bin admits (1 + eps, where the bound is a few ulps above 0).
+  // empty bin admits (1 + eps, where the boundary is just above 0).
   const Load largest = kBinCapacity + kLoadEps;
   ASSERT_TRUE(valid_item_size(largest));
-  ASSERT_FALSE(valid_item_size(
-      std::nextafter(largest, std::numeric_limits<double>::infinity())));
+  for (const Load size : {0.0, 1e-300, 1e-18, 0.5, 0.999, 0.9999999,
+                          1.0 - 1e-12, 1.0, largest})
+    expect_best_fit_at_boundary(size);
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> unit(1e-6, 1.0);
+  for (int k = 0; k < 2000; ++k) expect_best_fit_at_boundary(unit(rng));
+}
+
+TEST(BestFitBoundary, SizesNoBinAdmitsSelectNothing) {
+  const Load past_largest = std::nextafter(
+      kBinCapacity + kLoadEps, std::numeric_limits<double>::infinity());
+  ASSERT_FALSE(valid_item_size(past_largest));
+  BinCapacityIndex idx;
+  idx.add_bin(0);
+  idx.set_load(idx.add_bin(1), std::numeric_limits<double>::denorm_min());
+  idx.set_load(idx.add_bin(2), 0.5);
   for (const Load size :
-       {0.0, 1e-300, 1e-18, 0.5, 0.999, 0.9999999, 1.0 - 1e-12, 1.0,
-        largest}) {
-    const Load bound = max_load_admitting(size);
-    EXPECT_TRUE(fits_in_bin(bound, size));
-    EXPECT_FALSE(fits_in_bin(
-        std::nextafter(bound, std::numeric_limits<double>::infinity()),
-        size));
+       {past_largest, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(idx.best_fit(size), kNoBin) << size;
+    EXPECT_EQ(idx.first_fit(size), kNoBin) << size;
+    EXPECT_EQ(idx.worst_fit(size), kNoBin) << size;
   }
-  // A size no bin admits selects nothing.
-  for (const Load size :
-       {std::nextafter(largest, std::numeric_limits<double>::infinity()),
-        std::numeric_limits<double>::quiet_NaN()})
-    EXPECT_EQ(max_load_admitting(size),
-              -std::numeric_limits<double>::infinity());
 }
 
 TEST(BinCapacityIndex, EmptyIndexSelectsNothing) {
