@@ -1,72 +1,36 @@
 #include "serve/request_stream.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <random>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 
+#include "trace/trace.h"
 #include "workloads/general_random.h"
 
 namespace cdbp::serve {
 
-namespace {
-
-constexpr const char* kHeader = "tenant,arrival,departure,size";
-
-double parse_field(const std::string& field, std::size_t line_no) {
-  const char* begin = field.c_str();
-  char* end = nullptr;
-  const double v = std::strtod(begin, &end);
-  if (end == begin || *end != '\0')
-    throw std::runtime_error("stream csv: bad numeric field '" + field +
-                             "' on line " + std::to_string(line_no));
-  return v;
-}
-
-std::string format_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-}  // namespace
+constexpr std::string_view kHeader = "tenant,arrival,departure,size";
 
 std::vector<ServeRequest> read_stream_csv(std::istream& in) {
+  trace::CsvReader csv(in, "stream csv");
   std::vector<ServeRequest> out;
-  std::string line;
-  std::size_t line_no = 0;
-  Time prev_arrival = -kInfTime;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty() || line[0] == '#') continue;
-    if (line_no == 1 && line == kHeader) continue;
-
-    std::istringstream row(line);
-    std::string tenant, a, d, s, extra;
-    if (!std::getline(row, tenant, ',') || !std::getline(row, a, ',') ||
-        !std::getline(row, d, ',') || !std::getline(row, s, ',') ||
-        std::getline(row, extra, ','))
-      throw std::runtime_error(
-          "stream csv: expected 4 fields (tenant,arrival,departure,size) on "
-          "line " +
-          std::to_string(line_no));
-    if (tenant.empty())
-      throw std::runtime_error("stream csv: empty tenant on line " +
-                               std::to_string(line_no));
+  bool more = csv.next();
+  if (more && csv.row() == kHeader) more = csv.next();
+  for (; more; more = csv.next()) {
+    const std::vector<std::string_view>& fields = csv.fields();
+    if (fields.size() != 4)
+      csv.fail("expected 4 fields (tenant,arrival,departure,size)");
+    if (fields[0].empty()) csv.fail("empty tenant");
     ServeRequest req;
-    req.tenant = tenant;
+    req.tenant = fields[0];
     req.stream_index = out.size() + 1;  // 1-based; 0 means "unknown"
-    req.arrival = parse_field(a, line_no);
-    req.departure = parse_field(d, line_no);
-    req.size = parse_field(s, line_no);
-    if (req.arrival < prev_arrival)
-      throw std::runtime_error("stream csv: arrivals out of order on line " +
-                               std::to_string(line_no));
-    prev_arrival = req.arrival;
+    req.arrival = csv.number(1);
+    req.departure = csv.number(2);
+    req.size = csv.number(3);
+    if (!out.empty() && req.arrival < out.back().arrival)
+      csv.fail("arrivals out of order");
     out.push_back(std::move(req));
   }
   return out;
@@ -81,13 +45,12 @@ std::vector<ServeRequest> read_stream_csv(const std::string& path) {
 
 void write_stream_csv(const std::vector<ServeRequest>& stream,
                       std::ostream& out) {
-  out << kHeader << "\n";
+  trace::CsvWriter csv(out);
+  csv << kHeader << '\n';
   for (const ServeRequest& req : stream)
-    out << req.tenant << ',' << format_double(req.arrival) << ','
-        << format_double(req.departure) << ',' << format_double(req.size)
-        << "\n";
-  if (!out)
-    throw std::runtime_error("stream csv: write failed");
+    csv << req.tenant << ',' << req.arrival << ',' << req.departure << ','
+        << req.size << '\n';
+  if (!csv.flush()) throw std::runtime_error("stream csv: write failed");
 }
 
 void write_stream_csv(const std::vector<ServeRequest>& stream,

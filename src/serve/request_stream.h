@@ -4,10 +4,11 @@
 //
 // Stream format:  tenant,arrival,departure,size   (header line included)
 //
-// Rows must be sorted by arrival (the service validates per-shard arrival
-// monotonicity anyway; the reader enforces global order so a shuffled file
-// fails loudly at load time, not as per-request rejects). stream_index is
-// assigned 1-based in row order — the resume path's de-duplication key.
+// The codec is trace/'s, shared with instance files. Rows must be sorted
+// by arrival (the service validates per-shard arrival monotonicity anyway;
+// the reader enforces global order so a shuffled file fails loudly at load
+// time, not as per-request rejects). stream_index is assigned 1-based in
+// row order — the resume path's de-duplication key.
 #pragma once
 
 #include <cstdint>
@@ -19,8 +20,9 @@
 
 namespace cdbp::serve {
 
-/// Reads a stream CSV. Throws std::runtime_error on I/O or parse failure
-/// (wrong field count, non-numeric fields, arrivals out of order).
+/// Reads a stream CSV. The header row is optional. Throws
+/// std::runtime_error on I/O or parse failure (wrong field count, empty
+/// tenant, non-numeric fields, arrivals out of order), naming the line.
 [[nodiscard]] std::vector<ServeRequest> read_stream_csv(
     const std::string& path);
 [[nodiscard]] std::vector<ServeRequest> read_stream_csv(std::istream& in);
