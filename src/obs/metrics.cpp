@@ -60,8 +60,10 @@ auto& find_or_create(Map& map, std::string_view name) {
 
 void Histogram::record(std::uint64_t v) noexcept {
   buckets_[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(v, std::memory_order_relaxed);
+  // Release, paired with snapshot()'s acquire: a snapshot that counts this
+  // observation also holds its bucket and sum, so deltas partition totals.
+  count_.fetch_add(1, std::memory_order_release);
   std::uint64_t cur = min_.load(std::memory_order_relaxed);
   while (v < cur &&
          !min_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
@@ -74,7 +76,7 @@ void Histogram::record(std::uint64_t v) noexcept {
 
 HistogramSnapshot Histogram::snapshot() const noexcept {
   HistogramSnapshot s;
-  s.count = count_.load(std::memory_order_relaxed);
+  s.count = count_.load(std::memory_order_acquire);
   s.sum = sum_.load(std::memory_order_relaxed);
   const std::uint64_t mn = min_.load(std::memory_order_relaxed);
   s.min = mn == UINT64_MAX ? 0 : mn;
