@@ -726,5 +726,58 @@ TEST(Cli, GenerateShapesAccepted) {
   }
 }
 
+// `chaos --random N` draws 64-bit seeds and prints `--seeds <seed>` to
+// replay a failure; that command must take the seed it printed (this one
+// came from `--random 1`).
+TEST(Cli, ChaosReplaysASixtyFourBitSeed) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "cdbp_cli_chaos_seed";
+  fs::remove_all(dir);
+  const CliRun r = cli({"chaos", "--dir", dir.string(), "--seeds",
+                        "1985638915283285159", "--offers", "4",
+                        "--max-points", "1"});
+  EXPECT_EQ(r.code, 0) << r.err;
+  EXPECT_EQ(r.out.substr(0, r.out.find('\n')),
+            "chaos: seeds 1985638915283285159")
+      << r.out;
+  fs::remove_all(dir);
+}
+
+// A number is the whole token: no trailing bytes, and no sign on a count
+// (a negative count once wrapped to a huge unsigned value).
+TEST(Cli, NumericFlagsAreParsedWhole) {
+  namespace fs = std::filesystem;
+  const std::string stream = temp_file("cdbp_cli_whole_stream.csv");
+  const fs::path wal_dir = fs::temp_directory_path() / "cdbp_cli_whole_wal";
+  fs::remove_all(wal_dir);
+  ASSERT_EQ(cli({"gen-stream", "--out", stream, "--items", "20"}).code, 0);
+  const CliRun never =
+      cli({"serve", "--algo", "ff", "--in", stream, "--wal-dir",
+           wal_dir.string(), "--fsync", "none", "--checkpoint-every", "-1"});
+  EXPECT_EQ(never.code, 1);
+  EXPECT_NE(never.err.find("--checkpoint-every"), std::string::npos)
+      << never.err;
+
+  const std::string items_out = temp_file("cdbp_cli_whole_items.csv");
+  const CliRun items =
+      cli({"gen-stream", "--out", items_out, "--items", "20x"});
+  EXPECT_EQ(items.code, 1);
+  EXPECT_NE(items.err.find("--items"), std::string::npos) << items.err;
+
+  const std::string inst = temp_file("cdbp_cli_whole_inst.csv");
+  ASSERT_EQ(cli({"generate", "--kind", "binary", "--n", "3", "--out", inst})
+                .code,
+            0);
+  const CliRun mu = cli({"run", "--algo", "ff", "--in", inst, "--mu-hint",
+                         "2x"});
+  EXPECT_EQ(mu.code, 1);
+  EXPECT_NE(mu.err.find("--mu-hint"), std::string::npos) << mu.err;
+
+  fs::remove_all(wal_dir);
+  std::remove(stream.c_str());
+  std::remove(items_out.c_str());
+  std::remove(inst.c_str());
+}
+
 }  // namespace
 }  // namespace cdbp::cli
