@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 namespace cdbp::algos {
 
@@ -85,5 +86,30 @@ void DurationAwareFit::on_departure(const Item& item, BinId bin,
 }
 
 void DurationAwareFit::reset() { departures_.clear(); }
+
+void DurationAwareFit::save_state(StateWriter& w) const {
+  std::vector<BinId> bins;
+  bins.reserve(departures_.size());
+  for (const auto& [bin, deps] : departures_) bins.push_back(bin);
+  std::sort(bins.begin(), bins.end());
+  w.u64(bins.size());
+  for (const BinId bin : bins) {
+    const std::multiset<Time>& deps = departures_.at(bin);
+    w.i64(bin);
+    w.u64(deps.size());
+    for (const Time departure : deps) w.f64(departure);
+  }
+}
+
+void DurationAwareFit::load_state(StateReader& r) {
+  reset();
+  const std::uint64_t n_bins = r.u64();
+  for (std::uint64_t i = 0; i < n_bins; ++i) {
+    std::multiset<Time>& deps = departures_[r.i64()];
+    const std::uint64_t n = r.u64();
+    // Saved in multiset order, so each insert lands at the end.
+    for (std::uint64_t k = 0; k < n; ++k) deps.insert(deps.end(), r.f64());
+  }
+}
 
 }  // namespace cdbp::algos

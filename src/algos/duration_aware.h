@@ -17,6 +17,10 @@
 //                           item (zero marginal cost), fullest such bin
 //                           first (Best-Fit flavored); otherwise fall back
 //                           to kMinExtension.
+//
+// Checkpointable: its only state is the departure multiset of each open bin,
+// saved with bins ascending (per bin its id, its count, and its departures'
+// bit patterns in multiset order).
 #pragma once
 
 #include <set>
@@ -24,6 +28,7 @@
 #include <unordered_map>
 
 #include "core/algorithm.h"
+#include "core/checkpoint.h"
 
 namespace cdbp::algos {
 
@@ -34,7 +39,7 @@ enum class DurationPolicy {
 
 [[nodiscard]] std::string to_string(DurationPolicy policy);
 
-class DurationAwareFit : public Algorithm {
+class DurationAwareFit : public Algorithm, public Checkpointable {
  public:
   explicit DurationAwareFit(DurationPolicy policy = DurationPolicy::kMinExtension);
 
@@ -44,6 +49,9 @@ class DurationAwareFit : public Algorithm {
   void on_departure(const Item& item, BinId bin, bool bin_closed,
                     Ledger& ledger) override;
   void reset() override;
+
+  void save_state(StateWriter& w) const override;
+  void load_state(StateReader& r) override;
 
   /// Current close horizon of an open bin (kInfTime if unknown bin).
   [[nodiscard]] Time horizon_of(BinId bin) const;

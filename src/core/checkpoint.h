@@ -93,11 +93,10 @@ class StateReader {
   std::size_t pos_ = 0;
 };
 
-/// Capability: exact state capture and restore. Implemented by the
-/// algorithms whose serving sessions can be checkpointed (Any-Fit family,
-/// CDFF, ClassifyByDuration, Hybrid, HarmonicFit); the two without it,
-/// DurationAwareFit's `dfit` and `dfit-ne`, are recovered by replaying the
-/// whole write-ahead log instead (src/serve/).
+/// Capability: exact state capture and restore. Every algorithm the serve
+/// plane runs implements it (Any-Fit family, CDFF, ClassifyByDuration,
+/// Hybrid, HarmonicFit, DurationAwareFit), and a DurableSession refuses an
+/// algorithm that does not (src/serve/).
 ///
 /// Contract: after `b.load_state(r)` on a freshly reset `b` reading what
 /// `a.save_state(w)` wrote, `b` must behave bit-identically to `a` on every

@@ -56,8 +56,8 @@ class InteractiveSession {
   /// items (id, arrival, departure, size; ascending id), then the ledger
   /// (Ledger::save_state). Nothing about departed items or closed bins is
   /// kept, so the size is O(open bins + active items). The driven
-  /// algorithm's state is NOT included — the caller saves it alongside iff
-  /// the algorithm is Checkpointable (see src/serve/). `load_state`
+  /// algorithm's state is NOT included — the caller saves it alongside
+  /// through its Checkpointable capability (see src/serve/). `load_state`
   /// restores into a freshly constructed session (throws std::logic_error
   /// otherwise; a buffer whose items disagree with its ledger throws
   /// std::runtime_error), after which the session continues

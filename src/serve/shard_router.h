@@ -96,7 +96,7 @@ struct RouterConfig {
   /// Write a checkpoint per shard during stop(), after the queue drained
   /// and before the session finishes — the graceful-shutdown path of
   /// `cdbp serve --listen`, so a restart replays a WAL tail instead of the
-  /// whole log. No-op for non-checkpointable algorithms.
+  /// whole log.
   bool final_checkpoint = false;
   /// I/O environment every shard's durability path flows through. nullptr =
   /// the real filesystem; chaos tests pass a FaultInjectingEnv to fail one

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cli/cli.h"
 #include "core/frame.h"
 #include "core/session.h"
 #include "test_util.h"
@@ -156,6 +157,16 @@ void check_mid_stream_roundtrip(const testutil::NamedFactory& factory,
   EXPECT_EQ(b.open_bins(), a.open_bins());
 }
 
+/// Every servable algorithm, built as `cdbp` builds it; CDFF only when
+/// the input is aligned.
+std::vector<testutil::NamedFactory> servable_factories(bool aligned) {
+  std::vector<testutil::NamedFactory> out;
+  for (const std::string& name : cli::algorithm_names())
+    if (aligned || name != "cdff")
+      out.push_back({name, [name] { return cli::make_algorithm(name); }});
+  return out;
+}
+
 TEST(Checkpoint, MidStreamRoundTripOnGeneralInputs) {
   std::mt19937_64 rng(11);
   workloads::GeneralConfig cfg;
@@ -164,7 +175,7 @@ TEST(Checkpoint, MidStreamRoundTripOnGeneralInputs) {
   cfg.horizon = 64.0;
   const Instance instance = workloads::make_general_random(cfg, rng);
   ASSERT_GE(instance.size(), 40u);
-  for (const auto& factory : testutil::online_factories())
+  for (const auto& factory : servable_factories(false))
     for (const std::size_t cut : {std::size_t{0}, std::size_t{1},
                                   instance.size() / 2, instance.size() - 1})
       check_mid_stream_roundtrip(factory, instance, cut);
@@ -177,7 +188,7 @@ TEST(Checkpoint, MidStreamRoundTripOnAlignedInputs) {
   cfg.max_bucket = 5;
   const Instance instance = workloads::make_aligned_random(cfg, rng);
   ASSERT_GE(instance.size(), 20u);
-  for (const auto& factory : testutil::aligned_factories())
+  for (const auto& factory : servable_factories(true))
     for (const std::size_t cut : {std::size_t{1}, instance.size() / 2})
       check_mid_stream_roundtrip(factory, instance, cut);
 }

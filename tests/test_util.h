@@ -30,8 +30,9 @@ struct NamedFactory {
   std::function<AlgorithmPtr()> make;
 };
 
-/// Every online algorithm in the library (CDFF only handles aligned inputs,
-/// so suites that feed general inputs should use online_factories()).
+/// Six online algorithms: the Any-Fit family, CBD with base 2 and HA. Not
+/// every servable one (cli::algorithm_names() lists those); CDFF, which
+/// handles aligned inputs only, is added by aligned_factories().
 inline std::vector<NamedFactory> online_factories() {
   return {
       {"FirstFit", [] { return std::make_unique<algos::FirstFit>(); }},
