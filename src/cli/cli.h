@@ -14,7 +14,7 @@
 //   cdbp compare  --in FILE            (all applicable algorithms)
 //   cdbp adversary --algo ALGO --n N [--rounds R]
 //
-//   ALGO in {ff, bf, nf, wf, cbd, cbd-ren, ha, cdff, dfit, dfit-ne}
+//   ALGO in {ff, bf, nf, wf, cbd, cbd-ren, ha, cdff, dfit, dfit-ne, harmonic}
 #pragma once
 
 #include <iosfwd>

@@ -72,11 +72,7 @@ std::string parent_dir(const std::string& path) {
 }
 
 bool transient_errno(int err) noexcept {
-  return err == EINTR || err == EAGAIN
-#if defined(EWOULDBLOCK) && EWOULDBLOCK != EAGAIN
-         || err == EWOULDBLOCK
-#endif
-      ;
+  return err == EINTR || err == EAGAIN;  // EWOULDBLOCK is EAGAIN on Linux
 }
 
 // ---------------------------------------------------------------------------
@@ -337,12 +333,6 @@ Env& Env::posix() {
 
 namespace {
 
-[[maybe_unused]] int set_nonblocking(int fd) noexcept {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0) return -1;
-  return ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
 bool parse_ipv4(const std::string& host, std::uint16_t port,
                 ::sockaddr_in& out) noexcept {
   std::memset(&out, 0, sizeof(out));
@@ -357,24 +347,11 @@ bool parse_ipv4(const std::string& host, std::uint16_t port,
 }
 
 int new_tcp_socket(int& err) noexcept {
-#if defined(SOCK_NONBLOCK) && defined(SOCK_CLOEXEC)
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     err = errno;
     return -1;
   }
-#else
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    err = errno;
-    return -1;
-  }
-  if (set_nonblocking(fd) != 0) {
-    err = errno;
-    ::close(fd);
-    return -1;
-  }
-#endif
   // The wire protocol is many small frames (a ~56-byte offer, a ~29-byte
   // ack); Nagle + delayed ACK turns a partially filled batch into a ~40ms
   // stall, which is death for a request/response plane. Throughput relies
@@ -428,25 +405,12 @@ int Env::net_connect(const std::string& host, std::uint16_t port, int& err) {
 }
 
 int Env::net_accept(int listen_fd, int& err) {
-#if defined(__linux__)
   const int fd = ::accept4(listen_fd, nullptr, nullptr,
                            SOCK_NONBLOCK | SOCK_CLOEXEC);
   if (fd < 0) {
     err = errno;
     return -1;
   }
-#else
-  const int fd = ::accept(listen_fd, nullptr, nullptr);
-  if (fd < 0) {
-    err = errno;
-    return -1;
-  }
-  if (set_nonblocking(fd) != 0) {
-    err = errno;
-    ::close(fd);
-    return -1;
-  }
-#endif
   // Accepted sockets don't reliably inherit options: disable Nagle here
   // too (see new_tcp_socket for why small frames need it off).
   const int one = 1;
@@ -466,11 +430,7 @@ std::int64_t Env::net_read(int fd, void* buf, std::size_t n,
 
 std::int64_t Env::net_write(int fd, const void* buf, std::size_t n,
                             int& err) noexcept {
-#if defined(MSG_NOSIGNAL)
   const ::ssize_t w = ::send(fd, buf, n, MSG_NOSIGNAL);
-#else
-  const ::ssize_t w = ::send(fd, buf, n, 0);
-#endif
   if (w < 0) {
     err = errno;
     return -1;

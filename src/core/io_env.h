@@ -70,8 +70,8 @@ enum FaultOp : unsigned {
   kOpMkdir = 1u << 8,
   // Network path (src/net/). Counted with path "net:<fd>" ("net:listen" /
   // "net:connect" before an fd exists) so rules can target the socket plane
-  // without also matching WAL files. Readiness polling (epoll/poll) is *not*
-  // a fault point: the reactor only learns "maybe ready", and every
+  // without also matching WAL files. Readiness polling (epoll) is *not* a
+  // fault point: the reactor only learns "maybe ready", and every
   // observable failure mode is reachable through accept/read/write.
   kOpNetAccept = 1u << 9,
   kOpNetRead = 1u << 10,

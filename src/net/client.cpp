@@ -52,8 +52,7 @@ class LoadRun {
           const std::vector<serve::ServeRequest>& items)
       : cfg_(config),
         items_(items),
-        env_(config.env != nullptr ? *config.env : io::Env::posix()),
-        poller_(false) {}
+        env_(config.env != nullptr ? *config.env : io::Env::posix()) {}
 
   ClientReport go();
 

@@ -1,127 +1,68 @@
 #include "net/poller.h"
 
-#include <poll.h>
+#include <sys/epoll.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#endif
+#include <string>
 
 namespace cdbp::net {
 
-Poller::Poller(bool force_poll) {
-#if defined(__linux__)
-  if (!force_poll) {
-    epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    if (epfd_ < 0) epfd_ = -1;  // fall back to poll
-  }
-#else
-  (void)force_poll;
-#endif
-}
-
-Poller::~Poller() {
-  if (epfd_ >= 0) ::close(epfd_);
-}
-
-#if defined(__linux__)
 namespace {
+
 std::uint32_t ep_mask(bool want_read, bool want_write) {
   std::uint32_t m = 0;
   if (want_read) m |= EPOLLIN;
   if (want_write) m |= EPOLLOUT;
   return m;
 }
+
+void ctl(int epfd, int op, int fd, bool want_read, bool want_write,
+         const char* what) {
+  ::epoll_event ev{};
+  ev.events = ep_mask(want_read, want_write);
+  ev.data.fd = fd;
+  if (::epoll_ctl(epfd, op, fd, &ev) != 0)
+    throw std::runtime_error(std::string("net: epoll_ctl(") + what +
+                             ") failed");
+}
+
 }  // namespace
-#endif
+
+Poller::Poller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {
+  if (epfd_ < 0)
+    throw std::runtime_error(std::string("net: epoll_create1 failed: ") +
+                             std::strerror(errno));
+}
+
+Poller::~Poller() { ::close(epfd_); }
 
 void Poller::add(int fd, bool want_read, bool want_write) {
-#if defined(__linux__)
-  if (epfd_ >= 0) {
-    ::epoll_event ev{};
-    ev.events = ep_mask(want_read, want_write);
-    ev.data.fd = fd;
-    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) != 0)
-      throw std::runtime_error("net: epoll_ctl(ADD) failed");
-    return;
-  }
-#endif
-  watches_.push_back({fd, want_read, want_write});
+  ctl(epfd_, EPOLL_CTL_ADD, fd, want_read, want_write, "ADD");
 }
 
 void Poller::modify(int fd, bool want_read, bool want_write) {
-#if defined(__linux__)
-  if (epfd_ >= 0) {
-    ::epoll_event ev{};
-    ev.events = ep_mask(want_read, want_write);
-    ev.data.fd = fd;
-    if (::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) != 0)
-      throw std::runtime_error("net: epoll_ctl(MOD) failed");
-    return;
-  }
-#endif
-  for (Watch& w : watches_) {
-    if (w.fd == fd) {
-      w.want_read = want_read;
-      w.want_write = want_write;
-      return;
-    }
-  }
+  ctl(epfd_, EPOLL_CTL_MOD, fd, want_read, want_write, "MOD");
 }
 
 void Poller::remove(int fd) {
-#if defined(__linux__)
-  if (epfd_ >= 0) {
-    ::epoll_event ev{};
-    (void)::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, &ev);
-    return;
-  }
-#endif
-  watches_.erase(std::remove_if(watches_.begin(), watches_.end(),
-                                [fd](const Watch& w) { return w.fd == fd; }),
-                 watches_.end());
+  ::epoll_event ev{};
+  (void)::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, &ev);
 }
 
 std::size_t Poller::wait(std::vector<PollEvent>& out, int timeout_ms) {
   out.clear();
-#if defined(__linux__)
-  if (epfd_ >= 0) {
-    ::epoll_event evs[128];
-    const int n = ::epoll_wait(epfd_, evs, 128, timeout_ms);
-    if (n <= 0) return 0;
-    for (int i = 0; i < n; ++i) {
-      PollEvent e;
-      e.fd = evs[i].data.fd;
-      e.readable = (evs[i].events & EPOLLIN) != 0;
-      e.writable = (evs[i].events & EPOLLOUT) != 0;
-      e.broken = (evs[i].events & (EPOLLERR | EPOLLHUP)) != 0;
-      out.push_back(e);
-    }
-    return out.size();
-  }
-#endif
-  std::vector<::pollfd> pfds;
-  pfds.reserve(watches_.size());
-  for (const Watch& w : watches_) {
-    ::pollfd p{};
-    p.fd = w.fd;
-    if (w.want_read) p.events |= POLLIN;
-    if (w.want_write) p.events |= POLLOUT;
-    pfds.push_back(p);
-  }
-  const int n = ::poll(pfds.data(), pfds.size(), timeout_ms);
-  if (n <= 0) return 0;
-  for (const ::pollfd& p : pfds) {
-    if (p.revents == 0) continue;
+  ::epoll_event evs[128];
+  const int n = ::epoll_wait(epfd_, evs, 128, timeout_ms);
+  for (int i = 0; i < n; ++i) {
     PollEvent e;
-    e.fd = p.fd;
-    e.readable = (p.revents & POLLIN) != 0;
-    e.writable = (p.revents & POLLOUT) != 0;
-    e.broken = (p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
+    e.fd = evs[i].data.fd;
+    e.readable = (evs[i].events & EPOLLIN) != 0;
+    e.writable = (evs[i].events & EPOLLOUT) != 0;
+    e.broken = (evs[i].events & (EPOLLERR | EPOLLHUP)) != 0;
     out.push_back(e);
   }
   return out.size();

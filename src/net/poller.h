@@ -1,6 +1,5 @@
-// Readiness multiplexer for the listener's event loops: epoll on Linux, a
-// poll(2) fallback everywhere else (and on Linux when force_poll is set, so
-// the fallback path has test coverage on the platform CI actually runs).
+// Readiness multiplexer for the listener's event loops and the load
+// generator: one epoll instance, level-triggered.
 //
 // Deliberately NOT routed through io::Env: the poller only reports "maybe
 // ready", so faulting it adds no failure mode that faulting the subsequent
@@ -22,7 +21,8 @@ struct PollEvent {
 
 class Poller {
  public:
-  explicit Poller(bool force_poll = false);
+  /// Throws std::runtime_error if epoll_create1 fails.
+  Poller();
   ~Poller();
 
   Poller(const Poller&) = delete;
@@ -37,14 +37,7 @@ class Poller {
   std::size_t wait(std::vector<PollEvent>& out, int timeout_ms);
 
  private:
-  struct Watch {
-    int fd = -1;
-    bool want_read = false;
-    bool want_write = false;
-  };
-
-  int epfd_ = -1;               // -1 = poll fallback
-  std::vector<Watch> watches_;  // poll fallback's interest list
+  int epfd_ = -1;
 };
 
 }  // namespace cdbp::net
