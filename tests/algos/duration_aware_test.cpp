@@ -111,6 +111,36 @@ TEST(DurationAware, HorizonShrinksWhenDefinerWasNeverTheMax) {
   session.finish();
 }
 
+// The checkpoint layout docs/SERVING.md gives: the open-bin count, then per
+// bin (ascending id) its id, its count and its departures in multiset
+// order. A restore brings every horizon back.
+TEST(DurationAware, StateListsEachOpenBinsDeparturesInOrder) {
+  DurationAwareFit dfit;
+  InteractiveSession session(dfit);
+  const BinId a = session.offer(0.0, 10.0, 0.6);
+  const BinId b = session.offer(0.0, 2.0, 0.6);  // does not fit bin a
+  ASSERT_EQ(session.offer(1.0, 4.0, 0.3), a);    // a's horizon covers it
+  StateWriter w;
+  dfit.save_state(w);
+  StateWriter expected;
+  expected.u64(2);
+  expected.i64(a);
+  expected.u64(2);
+  expected.f64(4.0);
+  expected.f64(10.0);
+  expected.i64(b);
+  expected.u64(1);
+  expected.f64(2.0);
+  EXPECT_EQ(w.buffer(), expected.buffer());
+
+  DurationAwareFit restored;
+  StateReader r(w.buffer());
+  restored.load_state(r);
+  EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(restored.horizon_of(a), 10.0);
+  EXPECT_EQ(restored.horizon_of(b), 2.0);
+}
+
 TEST(DurationAware, BeatsFirstFitOnRiderTraps) {
   // The two-phase family: a light long rider after each heavy short item.
   // First-Fit lets riders contaminate short bins; MinExtension refuses the
