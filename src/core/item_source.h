@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "core/item.h"
 
@@ -18,32 +17,14 @@ class ItemSource {
   virtual ~ItemSource() = default;
 
   /// Writes the next item into `out` and returns true, or returns false at
-  /// end of stream. Implementations must yield non-decreasing arrivals.
+  /// end of stream. Implementations must yield non-decreasing arrivals and
+  /// ids 0, 1, 2, ... (Simulator::run_source throws std::logic_error on a
+  /// gap).
   virtual bool next(Item& out) = 0;
 
   /// Total items the source will yield, when known (0 = unknown). Used only
   /// for progress/trace annotations, never for control flow.
   [[nodiscard]] virtual std::size_t size_hint() const { return 0; }
-};
-
-/// Adapter over an in-memory item vector (finalized-Instance order).
-class VectorItemSource final : public ItemSource {
- public:
-  explicit VectorItemSource(const std::vector<Item>& items) : items_(&items) {}
-
-  bool next(Item& out) override {
-    if (pos_ == items_->size()) return false;
-    out = (*items_)[pos_++];
-    return true;
-  }
-
-  [[nodiscard]] std::size_t size_hint() const override {
-    return items_->size();
-  }
-
- private:
-  const std::vector<Item>* items_;
-  std::size_t pos_ = 0;
 };
 
 }  // namespace cdbp

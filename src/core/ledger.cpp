@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "obs/obs.h"
 
@@ -120,7 +121,7 @@ void Ledger::soa_close_row(BinId bin, std::uint32_t row) {
   soa_free_rows_.push_back(row);
 }
 
-std::vector<BinRecord> Ledger::records() const {
+std::vector<BinRecord> Ledger::records() const& {
   if (storage_ == LedgerStorage::kReference) return bins_;
   if (!track_items_)
     throw std::logic_error(
@@ -139,11 +140,12 @@ std::vector<BinRecord> Ledger::records() const {
     out[static_cast<std::size_t>(b)].load = soa_load_[row];
     out[static_cast<std::size_t>(b)].active_items = soa_active_count_[row];
   }
-  // Scatter the global placement log: a stable partition by bin, so each
-  // record's all_items keeps its placement order.
-  for (const auto& [item, bin] : soa_placements_)
-    out[static_cast<std::size_t>(bin)].all_items.push_back(item);
   return out;
+}
+
+std::vector<BinRecord> Ledger::records() && {
+  if (storage_ == LedgerStorage::kReference) return std::move(bins_);
+  return std::as_const(*this).records();
 }
 
 StepFunction open_bins_profile(const std::vector<BinRecord>& bins, Time now) {
@@ -191,7 +193,6 @@ void Ledger::place(ItemId id, Load size, BinId bin, Time now) {
       throw std::logic_error("Ledger: item placed twice");
     soa_load_[row] += size;
     soa_active_count_[row] += 1;
-    if (track_items_) soa_placements_.emplace_back(id, bin);
     soa_pools_[soa_pool_idx_[row]].index.set_load(soa_slot_[row],
                                                   soa_load_[row]);
     return;
@@ -203,7 +204,6 @@ void Ledger::place(ItemId id, Load size, BinId bin, Time now) {
   if (active_.contains(id)) throw std::logic_error("Ledger: item placed twice");
   rec.load += size;
   rec.active_items += 1;
-  if (track_items_) rec.all_items.push_back(id);
   active_.emplace(id, ActivePlacement{bin, size});
 
   const IndexRef& ref = index_ref_[static_cast<std::size_t>(bin)];

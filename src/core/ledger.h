@@ -22,8 +22,10 @@
 //    items), however many bins were ever opened — what lets a streamed
 //    1e7-item run and a long-lived serve shard stay small. With item
 //    tracking on, each bin's group and open/close times are also appended
-//    to a history log beside the placement log (O(bins + items)), which
-//    records() reads.
+//    to a bin-life log (O(bins ever opened)), which records() reads.
+//
+// Neither layout records which items a bin held: the simulator logs each
+// placement once, in RunResult::placements.
 //
 // Both backends execute the same floating-point operations in the same
 // order, so costs, loads, and serialized checkpoints are bit-identical —
@@ -62,6 +64,7 @@ enum class LedgerStorage : std::uint8_t {
 [[nodiscard]] const char* to_string(LedgerStorage storage) noexcept;
 
 /// Immutable record of one bin's life, available after (or during) a run.
+/// The items it held are not kept here; RunResult::placements lists them.
 struct BinRecord {
   BinId id = kNoBin;
   BinGroup group = 0;
@@ -69,7 +72,6 @@ struct BinRecord {
   Time closed = kInfTime;  ///< +inf while still open
   Load load = 0.0;         ///< current load (last load before closing)
   std::size_t active_items = 0;
-  std::vector<ItemId> all_items;  ///< every item ever placed here
 
   [[nodiscard]] bool is_open() const noexcept { return closed == kInfTime; }
   [[nodiscard]] Cost usage(Time now) const noexcept {
@@ -88,9 +90,11 @@ class Ledger {
  public:
   Ledger() = default;
 
-  /// `track_items = false` drops the per-item placement log (all_items in
-  /// records() stays empty): throughput mode for multi-million-item runs
-  /// and long-lived sessions that only need costs and live state.
+  /// `track_items` decides only whether the SoA layout keeps closed bins'
+  /// lives, so that records() can report them; the reference layout keeps
+  /// every bin's record either way, and neither logs placements. Off is
+  /// throughput mode for multi-million-item runs and long-lived sessions
+  /// that only need costs and live state.
   explicit Ledger(LedgerStorage storage, bool track_items = true)
       : storage_(storage), track_items_(track_items) {}
 
@@ -171,7 +175,10 @@ class Ledger {
   /// Records of every bin ever opened, indexed by id: a full copy, built
   /// per call (the reporting path; take it once, at the end of a run). The
   /// SoA layout needs item tracking for this (std::logic_error otherwise).
-  [[nodiscard]] std::vector<BinRecord> records() const;
+  [[nodiscard]] std::vector<BinRecord> records() const&;
+  /// The same records from a ledger that is done: the reference layout
+  /// hands over its own, so the ledger answers no per-bin query after.
+  [[nodiscard]] std::vector<BinRecord> records() &&;
 
   /// Latest time passed to any mutator.
   [[nodiscard]] Time clock() const noexcept { return clock_; }
@@ -179,10 +186,10 @@ class Ledger {
   /// Serializes the ledger's decision state: the next bin id, the open
   /// bins in ascending id (group, opening time, bit-exact load, active
   /// count, pool), the active placements, and the usage accumulators.
-  /// Closed bins and the per-item placement log are NOT included, so a
-  /// checkpoint is O(open bins + active items) and works with or without
-  /// item tracking. Both storage backends write byte-identical buffers,
-  /// and either backend can restore a buffer the other wrote.
+  /// Closed bins are NOT included, so a checkpoint is O(open bins + active
+  /// items) and works with or without item tracking. Both storage backends
+  /// write byte-identical buffers, and either backend can restore a buffer
+  /// the other wrote.
   /// `load_state` restores into a *fresh* ledger (throws std::logic_error
   /// otherwise), rebuilding the per-pool capacity indexes from id order so
   /// that every subsequent first/best/worst-fit query answers exactly as
@@ -190,9 +197,9 @@ class Ledger {
   /// before changing any state (ids ascending and below the next id,
   /// placements only into listed bins, each bin's active count equal to
   /// its placements) and throws std::runtime_error on a violation. What a
-  /// checkpoint does not carry comes back blank: all_items lists start
-  /// empty, and a bin closed before the checkpoint has a placeholder
-  /// record (group 0, opened = closed = 0) where the layout keeps one.
+  /// checkpoint does not carry comes back blank: a bin closed before the
+  /// checkpoint has a placeholder record (group 0, opened = closed = 0)
+  /// where the layout keeps one.
   void save_state(StateWriter& w) const;
   void load_state(StateReader& r);
 
@@ -278,11 +285,8 @@ class Ledger {
   std::vector<std::uint32_t> soa_free_pools_;  // released soa_pools_ entries
   std::vector<std::pair<PoolId, std::uint32_t>> soa_pool_ids_;  // sorted
   FlatItemMap soa_active_;
-  /// Tracking only: every bin's life by id, and the append-only (item,
-  /// bin) log in placement order; per-bin item lists are a stable
-  /// partition of it (see records()).
+  /// Tracking only: every bin's life by id (see records()).
   std::vector<BinHistory> soa_history_;
-  std::vector<std::pair<ItemId, BinId>> soa_placements_;
 };
 
 }  // namespace cdbp

@@ -18,17 +18,16 @@ RunMetrics compute_metrics(const Instance& instance,
   }
 
   double span_sum = 0.0;
-  std::size_t items_sum = 0;
   for (const BinRecord& bin : result.bins) {
     const double span = bin.usage(bin.closed);
     span_sum += span;
-    items_sum += bin.all_items.size();
     m.max_bin_span = std::max(m.max_bin_span, span);
     m.cost_by_group[bin.group] += span;
   }
   const auto n = static_cast<double>(result.bins.size());
   m.mean_bin_span = span_sum / n;
-  m.mean_items_per_bin = static_cast<double>(items_sum) / n;
+  // Every placement puts one item into one bin.
+  m.mean_items_per_bin = static_cast<double>(result.placements.size()) / n;
   return m;
 }
 

@@ -15,7 +15,7 @@ namespace cdbp {
 class InteractiveSession {
  public:
   /// The session keeps only live state: the SoA ledger without its
-  /// per-item placement log, plus the active items in the departure heap.
+  /// closed bins' lives, plus the active items in the departure heap.
   /// Memory is O(open bins + active items), not O(items offered) or
   /// O(bins opened).
   explicit InteractiveSession(Algorithm& algo)

@@ -1,8 +1,10 @@
 #include "core/simulator.h"
 
-#include <algorithm>
+#include <functional>
 #include <queue>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "obs/obs.h"
 
@@ -30,12 +32,17 @@ obs::Counter& g_departures =
     obs::MetricsRegistry::global().counter("sim.departures");
 
 /// One replay loop for both entry points: `next(Item&)` pulls the arrival
-/// sequence (non-decreasing arrival order).
+/// sequence (non-decreasing arrivals, ids 0, 1, 2, ...). `size_hint` only
+/// annotates the trace; `known_size` sizes the placement log, so it must be
+/// a count the caller trusts (0 when it has none).
 template <typename NextFn>
 RunResult run_simulation(const SimulatorOptions& opts, NextFn&& next,
-                         std::size_t size_hint, Algorithm& algo) {
+                         std::size_t size_hint, std::size_t known_size,
+                         Algorithm& algo) {
   algo.reset();
   Ledger ledger(opts.storage, /*track_items=*/opts.keep_history);
+  RunResult result;
+  if (opts.keep_history) result.placements.reserve(known_size);
 
   obs::Tracer& tracer = obs::Tracer::global();
 
@@ -65,6 +72,11 @@ RunResult run_simulation(const SimulatorOptions& opts, NextFn&& next,
   std::size_t n_items = 0;
   Item r;
   while (next(r)) {
+    // The placement log is in arrival order, which must be item order.
+    if (r.id != static_cast<ItemId>(n_items))
+      throw std::logic_error(
+          "Simulator: item ids must be 0, 1, 2, ... in arrival order; item " +
+          std::to_string(n_items) + " has id " + std::to_string(r.id));
     // Process all departures at times <= this arrival first (t^- before t^+).
     drain_departures_until(r.arrival);
 
@@ -73,6 +85,7 @@ RunResult run_simulation(const SimulatorOptions& opts, NextFn&& next,
       throw std::logic_error(
           "Simulator: algorithm did not place the item in the bin it "
           "returned");
+    if (opts.keep_history) result.placements.push_back({r.id, bin});
     if (tracer.enabled())
       tracer.instant("sim.arrival", "sim",
                      {{"item", r.id},
@@ -92,22 +105,14 @@ RunResult run_simulation(const SimulatorOptions& opts, NextFn&& next,
   if (ledger.open_count() != 0)
     throw std::logic_error("Simulator: bins left open after drain");
 
-  RunResult result;
-  result.cost = ledger.total_usage(ledger.clock());
+  const Time end = ledger.clock();
+  result.cost = ledger.total_usage(end);
   result.bins_opened = ledger.bins_opened();
   result.max_open = ledger.max_open();
   result.items = n_items;
   if (opts.keep_history) {
-    result.bins = ledger.records();
-    result.open_bins = open_bins_profile(result.bins, ledger.clock());
-    result.placements.reserve(n_items);
-    for (const BinRecord& rec : result.bins)
-      for (ItemId id : rec.all_items)
-        result.placements.push_back(PlacementRecord{id, rec.id});
-    std::sort(result.placements.begin(), result.placements.end(),
-              [](const PlacementRecord& a, const PlacementRecord& b) {
-                return a.item < b.item;
-              });
+    result.bins = std::move(ledger).records();
+    result.open_bins = open_bins_profile(result.bins, end);
   }
   return result;
 }
@@ -124,12 +129,38 @@ RunResult Simulator::run(const Instance& instance, Algorithm& algo) const {
         out = items[pos++];
         return true;
       },
-      items.size(), algo);
+      items.size(), items.size(), algo);
 }
 
 RunResult Simulator::run_source(ItemSource& source, Algorithm& algo) const {
+  // The hint may come from an unverified header: it sizes nothing.
   return run_simulation(opts_, [&](Item& out) { return source.next(out); },
-                        source.size_hint(), algo);
+                        source.size_hint(), /*known_size=*/0, algo);
+}
+
+std::span<const ItemId> ItemsByBin::of(BinId bin) const {
+  const auto b = static_cast<std::size_t>(bin);
+  if (bin < 0 || b + 1 >= offsets.size()) return {};
+  return {items.data() + offsets[b], items.data() + offsets[b + 1]};
+}
+
+ItemsByBin items_by_bin(const RunResult& result) {
+  // A counting sort by bin: stable, so each group keeps placement order.
+  const std::size_t n_bins = result.bins.size();
+  const auto known = [n_bins](BinId b) {
+    return b >= 0 && static_cast<std::size_t>(b) < n_bins;
+  };
+  ItemsByBin out;
+  out.offsets.assign(n_bins + 1, 0);
+  for (const PlacementRecord& p : result.placements)
+    if (known(p.bin)) ++out.offsets[static_cast<std::size_t>(p.bin) + 1];
+  for (std::size_t b = 0; b < n_bins; ++b) out.offsets[b + 1] += out.offsets[b];
+  out.items.resize(out.offsets[n_bins]);
+  std::vector<std::size_t> fill(out.offsets.begin(), out.offsets.end() - 1);
+  for (const PlacementRecord& p : result.placements)
+    if (known(p.bin))
+      out.items[fill[static_cast<std::size_t>(p.bin)]++] = p.item;
+  return out;
 }
 
 Cost run_cost(const Instance& instance, Algorithm& algo) {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/algorithm.h"
@@ -31,15 +32,30 @@ struct RunResult {
   std::size_t max_open = 0;     ///< peak simultaneously-open bins
   std::size_t items = 0;        ///< items replayed
   StepFunction open_bins;       ///< #open bins as a function of time
-  std::vector<PlacementRecord> placements;  ///< item -> bin
-  std::vector<BinRecord> bins;              ///< full per-bin records
+  /// Item -> bin, in arrival order (entry i is item i): the run's only
+  /// record of which items each bin held (see items_by_bin).
+  std::vector<PlacementRecord> placements;
+  std::vector<BinRecord> bins;  ///< every bin's life, indexed by id
 };
+
+/// RunResult::placements grouped by bin, each group in placement order:
+/// bin b's items are items[offsets[b] .. offsets[b + 1]).
+struct ItemsByBin {
+  std::vector<std::size_t> offsets;
+  std::vector<ItemId> items;
+  /// The items placed in `bin`; empty for an id that is no bin of the run.
+  [[nodiscard]] std::span<const ItemId> of(BinId bin) const;
+};
+
+/// Groups `result.placements` by bin in one pass, leaving out any that
+/// names no bin of `result.bins` (validate_run reports those).
+[[nodiscard]] ItemsByBin items_by_bin(const RunResult& result);
 
 /// Options controlling a run.
 struct SimulatorOptions {
-  /// When true (default), keep per-bin records and the open-bins profile in
-  /// the result (and have the ledger track per-item placements). Disable
-  /// for throughput benchmarks on multi-million-item instances.
+  /// When true (default), record each placement and keep every bin's life
+  /// and the open-bins profile in the result. Disable for throughput
+  /// benchmarks on multi-million-item instances.
   bool keep_history = true;
   /// Ledger backend; identical costs/placements either way (see ledger.h).
   LedgerStorage storage = LedgerStorage::kReference;
@@ -51,12 +67,14 @@ class Simulator {
 
   /// Replays `instance` through `algo` (reset() is called first).
   /// Throws std::logic_error if the algorithm misbehaves (returned a bin it
-  /// did not place into, skipped a placement, overflowed a bin, ...).
+  /// did not place into, skipped a placement, overflowed a bin, ...), or
+  /// if the items' ids are not 0, 1, 2, ... in arrival order.
   RunResult run(const Instance& instance, Algorithm& algo) const;
 
   /// Replays a pull-based item stream (e.g. an on-disk .cdbpi instance)
-  /// without materializing it: peak memory is O(open bins + active items),
-  /// independent of stream length. Same semantics and results as run().
+  /// without materializing it: without history, peak memory is O(open
+  /// bins + active items), independent of stream length. Same semantics,
+  /// contract checks and results as run().
   RunResult run_source(ItemSource& source, Algorithm& algo) const;
 
  private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <span>
 #include <sstream>
 
 #include "core/step_function.h"
@@ -30,7 +31,7 @@ ValidationReport validate_run(const Instance& instance,
   ValidationReport rep;
   const std::vector<Item>& items = instance.items();
 
-  // 1. Placement completeness & uniqueness.
+  // 1. Placement completeness & uniqueness, each into a bin of the run.
   std::vector<int> seen(items.size(), 0);
   for (const PlacementRecord& p : result.placements) {
     if (p.item < 0 || static_cast<std::size_t>(p.item) >= items.size()) {
@@ -39,25 +40,31 @@ ValidationReport validate_run(const Instance& instance,
       continue;
     }
     seen[static_cast<std::size_t>(p.item)] += 1;
+    if (p.bin < 0 || static_cast<std::size_t>(p.bin) >= result.bins.size())
+      check(rep, false,
+            "item " + std::to_string(p.item) + " placed in bin " +
+                std::to_string(p.bin) + ", which the run never opened");
   }
   for (std::size_t i = 0; i < items.size(); ++i)
     check(rep, seen[i] == 1,
           "item " + std::to_string(i) + " placed " + std::to_string(seen[i]) +
               " times");
 
-  // Build bin -> items map from the bin records themselves.
+  // Each bin's items are the placements that name it.
+  const ItemsByBin by_bin = items_by_bin(result);
   Cost span_sum = 0.0;
   for (const BinRecord& bin : result.bins) {
+    const std::span<const ItemId> held = by_bin.of(bin.id);
     check(rep, !bin.is_open(),
           "bin " + std::to_string(bin.id) + " still open at end of run");
-    check(rep, !bin.all_items.empty(),
+    check(rep, !held.empty(),
           "bin " + std::to_string(bin.id) + " never held an item");
 
     // 2. Capacity over time, rebuilt from the items.
     StepFunction load;
     Time first_arrival = kInfTime;
     Time last_departure = -kInfTime;
-    for (ItemId id : bin.all_items) {
+    for (ItemId id : held) {
       if (id < 0 || static_cast<std::size_t>(id) >= items.size()) continue;
       const Item& r = items[static_cast<std::size_t>(id)];
       load.add(r.arrival, r.departure, r.size);
@@ -78,7 +85,7 @@ ValidationReport validate_run(const Instance& instance,
     // 3. Bins close when empty and never reopen: the recorded span must
     //    equal [first arrival, last departure] and the bin must never be
     //    empty strictly inside it.
-    if (!bin.all_items.empty() && first_arrival != kInfTime) {
+    if (!held.empty() && first_arrival != kInfTime) {
       check(rep, approx_equal(bin.opened, first_arrival, kTimeEps),
             "bin " + std::to_string(bin.id) + " opened at " +
                 std::to_string(bin.opened) + " but first item arrived at " +
@@ -89,7 +96,7 @@ ValidationReport validate_run(const Instance& instance,
                 std::to_string(last_departure));
       check(rep,
             approx_equal(load.support_measure(), bin.closed - bin.opened,
-                         kTimeEps * static_cast<double>(bin.all_items.size() + 1)),
+                         kTimeEps * static_cast<double>(held.size() + 1)),
             "bin " + std::to_string(bin.id) +
                 " was empty strictly inside its recorded span (bins must "
                 "close when empty)");

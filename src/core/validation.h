@@ -24,8 +24,9 @@ struct ValidationReport {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Checks, from scratch:
-///  1. every item of `instance` appears in exactly one placement;
+/// Checks, from scratch (a bin's items are the placements naming it):
+///  1. every item of `instance` appears in exactly one placement, and
+///     every placement names a bin of `result.bins`;
 ///  2. no bin's load ever exceeds capacity (profile rebuilt from items);
 ///  3. each recorded bin span equals the span of the union of its items'
 ///     intervals (bins close when empty, never reused);

@@ -96,6 +96,7 @@ std::string packing_gantt(const Instance& instance, const RunResult& result,
   const int cols =
       std::max(1, static_cast<int>(std::lround((t1 - t0) * time_scale)));
 
+  const ItemsByBin by_bin = items_by_bin(result);
   std::vector<BinRecord> bins = result.bins;
   std::sort(bins.begin(), bins.end(), [](const BinRecord& a,
                                          const BinRecord& b) {
@@ -111,7 +112,7 @@ std::string packing_gantt(const Instance& instance, const RunResult& result,
       prev_group = bin.group;
     }
     std::string row(static_cast<std::size_t>(cols), '.');
-    for (ItemId id : bin.all_items) {
+    for (ItemId id : by_bin.of(bin.id)) {
       const Item& r = instance[static_cast<std::size_t>(id)];
       const int a = std::clamp(
           static_cast<int>(std::lround((r.arrival - t0) * time_scale)), 0,

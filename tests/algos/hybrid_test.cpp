@@ -54,9 +54,11 @@ TEST(Hybrid, AccumulatedTypeLoadTriggersSwitch) {
   const RunResult r = Simulator{}.run(in, ha);
   ASSERT_EQ(r.bins.size(), 2u);
   EXPECT_EQ(r.bins[0].group, kHybridGroupGN);
-  EXPECT_EQ(r.bins[0].all_items.size(), 2u);
   EXPECT_EQ(r.bins[1].group, kHybridGroupCD);
-  EXPECT_EQ(r.bins[1].all_items.size(), 1u);
+  ASSERT_EQ(r.placements.size(), 3u);
+  EXPECT_EQ(r.placements[0].bin, 0);
+  EXPECT_EQ(r.placements[1].bin, 0);
+  EXPECT_EQ(r.placements[2].bin, 1);
 }
 
 TEST(Hybrid, OnceCdExistsTypeStaysCd) {

@@ -20,6 +20,7 @@
 #include "core/flat_map.h"
 #include "core/ledger.h"
 #include "core/session.h"
+#include "core/simulator.h"
 
 namespace cdbp {
 namespace {
@@ -146,6 +147,7 @@ TEST(LedgerSoa, MirrorsReferenceUnderRandomOps) {
     ASSERT_EQ(ref.open_bins(), soa.open_bins());
     ASSERT_EQ(ref.bins_opened(), soa.bins_opened());
     ASSERT_EQ(ref.active_items(), soa.active_items());
+    for (const ItemId id : active) ASSERT_EQ(ref.bin_of(id), soa.bin_of(id));
     ASSERT_EQ(ref.max_open(), soa.max_open());
     ASSERT_EQ(ref.total_usage(now), soa.total_usage(now));  // bitwise
     for (const PoolId p : {PoolId{0}, PoolId{1}, PoolId{2}}) {
@@ -157,7 +159,9 @@ TEST(LedgerSoa, MirrorsReferenceUnderRandomOps) {
       ASSERT_EQ(ref.pool_of(b), soa.pool_of(b));
     ASSERT_EQ(saved_bytes(ref), saved_bytes(soa)) << "op " << op;
   }
-  // Per-bin records and item lists agree once materialized.
+  // Per-bin records agree once materialized. Which items each bin held is
+  // the simulator's record; StorageEquivalence compares it across layouts
+  // through RunResult::placements.
   const std::vector<BinRecord> ref_records = ref.records();
   const std::vector<BinRecord> soa_records = soa.records();
   ASSERT_EQ(ref_records.size(), soa_records.size());
@@ -170,7 +174,6 @@ TEST(LedgerSoa, MirrorsReferenceUnderRandomOps) {
     EXPECT_EQ(r.closed, s.closed);
     EXPECT_EQ(r.load, s.load);
     EXPECT_EQ(r.active_items, s.active_items);
-    EXPECT_EQ(r.all_items, s.all_items);
   }
 }
 
@@ -190,21 +193,35 @@ TEST(LedgerSoa, ErrorPathsMatchReference) {
 }
 
 TEST(LedgerSoa, ThroughputModeDropsItemLog) {
+  const Instance in{Item{0, 0.0, 1.0, 0.5}, Item{1, 0.0, 1.0, 0.25}};
   for (const LedgerStorage storage :
        {LedgerStorage::kReference, LedgerStorage::kSoa}) {
     Ledger ledger(storage, /*track_items=*/false);
     const BinId b = ledger.open_bin(0.0);
     ledger.place(0, 0.5, b, 0.0);
     ledger.place(1, 0.25, b, 0.0);
-    // Costs and loads are unaffected; only the per-item history is gone
-    // (the SoA layout keeps no closed bins, so it reports no records).
+    // Costs and loads are unaffected; the SoA layout keeps no closed bins,
+    // so it reports no records, and the reference layout keeps them.
     EXPECT_DOUBLE_EQ(ledger.load(b), 0.75);
     if (storage == LedgerStorage::kReference) {
-      EXPECT_TRUE(ledger.records().at(static_cast<std::size_t>(b))
-                      .all_items.empty());
+      EXPECT_EQ(ledger.records().size(), 1u);
     } else {
       EXPECT_THROW((void)ledger.records(), std::logic_error);
     }
+    // The item log is the simulator's: a history-free run keeps none, a
+    // run with history one placement per item.
+    algos::FirstFit ff;
+    const RunResult lean =
+        Simulator{{.keep_history = false, .storage = storage}}.run(in, ff);
+    EXPECT_TRUE(lean.placements.empty());
+    EXPECT_TRUE(lean.bins.empty());
+    EXPECT_EQ(lean.cost, 1.0);
+    const RunResult full =
+        Simulator{{.keep_history = true, .storage = storage}}.run(in, ff);
+    ASSERT_EQ(full.placements.size(), 2u);
+    EXPECT_EQ(full.placements[0].bin, 0);
+    EXPECT_EQ(full.placements[1].bin, 0);
+    EXPECT_EQ(full.cost, lean.cost);
     // Checkpoints never carry that history, so they are the same bytes
     // with or without it.
     Ledger tracked(storage);

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "algos/any_fit.h"
+#include "core/simulator.h"
+#include "test_util.h"
+
 namespace cdbp {
 namespace {
 
@@ -155,12 +159,27 @@ TEST(Ledger, RecordHistoryKeepsAllItems) {
   EXPECT_EQ(ledger.bins_opened(), 2u);
   const std::vector<BinRecord> records = ledger.records();
   ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[static_cast<std::size_t>(b)].all_items,
-            std::vector<ItemId>{0});
-  EXPECT_EQ(records[static_cast<std::size_t>(b2)].all_items,
-            std::vector<ItemId>{1});
   EXPECT_DOUBLE_EQ(records[static_cast<std::size_t>(b)].usage(99.0),
                    1.0);  // closed: span fixed
+
+  // Which items each bin held is the simulator's record, one placement per
+  // item; the same run through it puts item 0 in bin 0 and item 1 in bin 1.
+  const Instance in =
+      testutil::make_instance({{0.0, 1.0, 0.9}, {1.0, 2.0, 0.9}});
+  algos::FirstFit ff;
+  const RunResult r = Simulator{}.run(in, ff);
+  ASSERT_EQ(r.bins.size(), 2u);
+  ASSERT_EQ(r.placements.size(), 2u);
+  EXPECT_EQ(r.placements[0].item, 0);
+  EXPECT_EQ(r.placements[0].bin, b);
+  EXPECT_EQ(r.placements[1].item, 1);
+  EXPECT_EQ(r.placements[1].bin, b2);
+  const ItemsByBin by_bin = items_by_bin(r);
+  EXPECT_EQ(std::vector<ItemId>(by_bin.of(b).begin(), by_bin.of(b).end()),
+            std::vector<ItemId>{0});
+  EXPECT_EQ(std::vector<ItemId>(by_bin.of(b2).begin(), by_bin.of(b2).end()),
+            std::vector<ItemId>{1});
+  EXPECT_DOUBLE_EQ(r.bins[static_cast<std::size_t>(b)].usage(99.0), 1.0);
 }
 
 TEST(Ledger, UnknownBinThrows) {

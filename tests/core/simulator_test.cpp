@@ -1,5 +1,8 @@
 #include "core/simulator.h"
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "algos/any_fit.h"
@@ -84,6 +87,56 @@ TEST(Simulator, KeepHistoryFalseOmitsRecords) {
   EXPECT_DOUBLE_EQ(r.cost, 1.0);
   EXPECT_TRUE(r.bins.empty());
   EXPECT_TRUE(r.placements.empty());
+}
+
+/// A test-local stream that yields its items as given, ids included.
+class ListSource final : public ItemSource {
+ public:
+  explicit ListSource(std::vector<Item> items) : items_(std::move(items)) {}
+
+  bool next(Item& out) override {
+    if (pos_ == items_.size()) return false;
+    out = items_[pos_++];
+    return true;
+  }
+
+ private:
+  std::vector<Item> items_;
+  std::size_t pos_ = 0;
+};
+
+TEST(Simulator, RunSourceRejectsAGapInItemIds) {
+  // Placements are logged in arrival order, which is item order only when
+  // the ids are 0, 1, 2, ...; a gap breaks the contract, history or not.
+  for (const bool keep_history : {true, false}) {
+    ListSource gap({{0, 0.0, 1.0, 0.5}, {2, 0.5, 1.5, 0.25}});
+    algos::FirstFit ff;
+    EXPECT_THROW((void)Simulator{{.keep_history = keep_history}}.run_source(
+                     gap, ff),
+                 std::logic_error);
+  }
+  ListSource dense({{0, 0.0, 1.0, 0.5}, {1, 0.5, 1.5, 0.25}});
+  algos::FirstFit ff;
+  const RunResult r = Simulator{}.run_source(dense, ff);
+  ASSERT_EQ(r.placements.size(), 2u);
+  EXPECT_EQ(r.placements[0].item, 0);
+  EXPECT_EQ(r.placements[1].item, 1);
+  EXPECT_EQ(r.placements[1].bin, 0);
+}
+
+TEST(Simulator, ItemsByBinIsStableAndSkipsUnknownBins) {
+  RunResult r;
+  r.bins.resize(2);
+  r.placements = {{0, 1}, {1, 0}, {2, 1}, {3, 5}, {4, kNoBin}, {5, 1}};
+  const ItemsByBin by_bin = items_by_bin(r);
+  const auto items_of = [&](BinId b) {
+    return std::vector<ItemId>(by_bin.of(b).begin(), by_bin.of(b).end());
+  };
+  EXPECT_EQ(items_of(0), std::vector<ItemId>{1});
+  EXPECT_EQ(items_of(1), (std::vector<ItemId>{0, 2, 5}));
+  EXPECT_TRUE(items_of(2).empty());
+  EXPECT_TRUE(items_of(5).empty());
+  EXPECT_TRUE(items_of(kNoBin).empty());
 }
 
 TEST(Simulator, ResetCalledBetweenRuns) {
