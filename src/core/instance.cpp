@@ -27,10 +27,13 @@ void Instance::add(Time arrival, Time departure, Load size) {
 }
 
 void Instance::finalize() {
-  std::stable_sort(items_.begin(), items_.end(),
-                   [](const Item& a, const Item& b) {
-                     return a.arrival < b.arrival;
-                   });
+  const auto by_arrival = [](const Item& a, const Item& b) {
+    return a.arrival < b.arrival;
+  };
+  // Ordered input (a .cdbpi file, an ordered CSV) skips the sort and its
+  // n/2-item buffer; a stable sort would leave it as it is.
+  if (!std::is_sorted(items_.begin(), items_.end(), by_arrival))
+    std::stable_sort(items_.begin(), items_.end(), by_arrival);
   for (std::size_t i = 0; i < items_.size(); ++i)
     items_[i].id = static_cast<ItemId>(i);
   validate();

@@ -24,6 +24,23 @@ TEST(Instance, FinalizeSortsByArrivalStable) {
   EXPECT_EQ(in[2].id, 2);
 }
 
+TEST(Instance, FinalizeKeepsOrderedInputWithTiedArrivals) {
+  // Already ordered by arrival, with ties: finalize skips the sort, and the
+  // result is what the stable sort gives — ties in insertion order, ids
+  // renumbered 0, 1, 2, ... whatever they were.
+  const Instance in(std::vector<Item>{{7, 0.0, 2.0, 0.1},
+                                      {3, 0.0, 1.0, 0.2},
+                                      {9, 1.0, 3.0, 0.3},
+                                      {9, 1.0, 2.0, 0.4},
+                                      {0, 1.0, 4.0, 0.5}});
+  ASSERT_EQ(in.size(), 5u);
+  const double sizes[] = {0.1, 0.2, 0.3, 0.4, 0.5};
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    EXPECT_EQ(in[i].id, static_cast<ItemId>(i));
+    EXPECT_EQ(in[i].size, sizes[i]);
+  }
+}
+
 TEST(Instance, ValidationRejectsMalformedItems) {
   {
     Instance in;
