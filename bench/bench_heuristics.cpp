@@ -79,10 +79,13 @@ void study(const std::string& title, int seeds,
   for (std::size_t c = 0; c < cands.size(); ++c) {
     const auto ci = analysis::bootstrap_mean_ci(ratios[c]);
     const auto summary = analysis::summarize(ratios[c]);
+    std::string interval = "[";
+    interval += report::Table::num(ci.lo);
+    interval += ", ";
+    interval += report::Table::num(ci.hi);
+    interval += ']';
     table.add_row(
-        {cands[c].name, report::Table::num(ci.point),
-         "[" + report::Table::num(ci.lo) + ", " + report::Table::num(ci.hi) +
-             "]",
+        {cands[c].name, report::Table::num(ci.point), interval,
          report::Table::num(summary.max),
          report::Table::num(analysis::summarize(costs[c]).mean, 1)});
   }

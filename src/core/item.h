@@ -49,7 +49,10 @@ struct DurationType {
   friend auto operator<=>(const DurationType&, const DurationType&) = default;
 
   [[nodiscard]] std::string to_string() const {
-    return "(" + std::to_string(i) + "," + std::to_string(c) + ")";
+    std::string out = "(";
+    out.append(std::to_string(i)).append(",").append(std::to_string(c));
+    out += ')';
+    return out;
   }
 };
 

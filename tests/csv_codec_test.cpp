@@ -75,7 +75,8 @@ std::vector<ServeRequest> stream_of(std::vector<double> values) {
   std::sort(arrivals.begin(), arrivals.end());
   std::vector<ServeRequest> out(values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
-    out[i].tenant = "t" + std::to_string(i % 7);
+    out[i].tenant = "t";
+    out[i].tenant += std::to_string(i % 7);
     out[i].stream_index = i + 1;
     out[i].arrival = arrivals[i];
     out[i].departure = values[i];
