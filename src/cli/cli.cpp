@@ -206,22 +206,48 @@ Instance read_instance_any(const std::string& path) {
                              : trace::read_instance_csv(path);
 }
 
-/// Trace format from an explicit flag or the output file extension:
-/// *.jsonl -> one JSON object per line; anything else -> Chrome trace_event
-/// JSON (chrome://tracing, https://ui.perfetto.dev).
-std::string infer_trace_format(const std::string& path) {
-  return path.ends_with(".jsonl") ? "jsonl" : "chrome";
-}
-
+/// The global tracer's sink for one command (--trace-out FILE): installed
+/// at construction, cleared (which finalizes the file) by finish() or on
+/// scope exit. The format is --trace-format's, else the extension's:
+/// *.jsonl -> one JSON object per line; anything else -> Chrome
+/// trace_event JSON (chrome://tracing, https://ui.perfetto.dev).
+class TraceScope {
+ public:
+  TraceScope(const std::optional<std::string>& path,
+             const std::optional<std::string>& format) {
 #ifndef CDBP_OBS_OFF
-std::shared_ptr<obs::TraceSink> make_trace_sink(const std::string& path,
-                                                const std::string& format) {
-  if (format == "jsonl") return std::make_shared<obs::JsonlSink>(path);
-  if (format == "chrome") return std::make_shared<obs::ChromeTraceSink>(path);
-  throw std::invalid_argument("unknown trace format '" + format +
-                              "' (expected chrome|jsonl)");
-}
+    if (!path) return;
+    const std::string f =
+        format.value_or(path->ends_with(".jsonl") ? "jsonl" : "chrome");
+    std::shared_ptr<obs::TraceSink> sink;
+    if (f == "jsonl")
+      sink = std::make_shared<obs::JsonlSink>(*path);
+    else if (f == "chrome")
+      sink = std::make_shared<obs::ChromeTraceSink>(*path);
+    else
+      throw std::invalid_argument("unknown trace format '" + f +
+                                  "' (expected chrome|jsonl)");
+    obs::Tracer::global().set_sink(std::move(sink));
+    armed_ = true;
+#else
+    (void)path;
+    (void)format;
 #endif
+  }
+  ~TraceScope() { finish(); }
+  TraceScope(const TraceScope&) = delete;
+  TraceScope& operator=(const TraceScope&) = delete;
+
+  void finish() {
+#ifndef CDBP_OBS_OFF
+    if (armed_) obs::Tracer::global().clear_sink();
+#endif
+    armed_ = false;
+  }
+
+ private:
+  bool armed_ = false;
+};
 
 /// Dumps the global metrics registry: *.csv -> CSV, otherwise text.
 void write_metrics_file(const std::string& path) {
@@ -258,8 +284,6 @@ void print_usage(std::ostream& out) {
       << "            (--stream replays a .cdbpi in O(1) memory)\n"
       << "  sim-sweep --algos A[,B...] --in FILE [--threads T]\n"
       << "            [--storage soa|reference] [--stream] [--mu-hint M]\n"
-      << "  trace     --algo ALGO --in FILE --out FILE\n"
-      << "            [--format chrome|jsonl] [--metrics-out FILE]\n"
       << "  bounds    --in FILE\n"
       << "  compare   --in FILE\n"
       << "  stats     --in FILE\n"
@@ -422,30 +446,18 @@ int cmd_run(Flags& flags, std::ostream& out) {
 
   const Instance instance = read_instance_any(path);
   const AlgorithmPtr algo = make_algorithm(algo_name, instance.mu());
+  // Before the run, so that the bound's load profile and the summary's
+  // sorted intervals are gone by the time the run's history is built.
+  const opt::Bounds bounds = opt::compute_bounds(instance);
+  const std::string summary = instance.summary();
   if (metrics_out) obs::MetricsRegistry::global().reset();
-#ifndef CDBP_OBS_OFF
-  if (trace_out)
-    obs::Tracer::global().set_sink(make_trace_sink(
-        *trace_out, trace_format.value_or(infer_trace_format(*trace_out))));
-  struct SinkGuard {
-    bool armed;
-    ~SinkGuard() {
-      if (armed) obs::Tracer::global().clear_sink();
-    }
-  } sink_guard{trace_out.has_value()};
-#endif
+  TraceScope trace(trace_out, trace_format);
   const RunResult result =
       Simulator{SimulatorOptions{.keep_history = true, .storage = storage}}
           .run(instance, *algo);
-#ifndef CDBP_OBS_OFF
-  if (trace_out) {
-    obs::Tracer::global().clear_sink();  // finalize the file
-    sink_guard.armed = false;
-  }
-#endif
-  const opt::Bounds bounds = opt::compute_bounds(instance);
+  trace.finish();
 
-  out << instance.summary() << "\n"
+  out << summary << "\n"
       << algo->name() << ": cost=" << num_exact(result.cost)
       << " bins=" << result.bins_opened << " peak=" << result.max_open
       << "  ratio vs LB(OPT)=" << report::Table::num(
@@ -530,44 +542,6 @@ int cmd_sim_sweep(Flags& flags, std::ostream& out) {
     out << "# run-us: p50=" << report.merged_run_us.quantile(0.5)
         << " p95=" << report.merged_run_us.quantile(0.95)
         << " max=" << report.merged_run_us.max << "\n";
-  return 0;
-}
-
-/// `cdbp trace`: one run with event tracing always on — the quickest way to
-/// get a Perfetto-loadable picture of a packing.
-int cmd_trace(Flags& flags, std::ostream& out) {
-  const std::string algo_name = flags.require("algo");
-  const std::string path = flags.require("in");
-  const std::string out_path = flags.require("out");
-  const std::string format =
-      flags.get("format").value_or(infer_trace_format(out_path));
-  const auto metrics_out = flags.get("metrics-out");
-  flags.finish();
-  require_obs("cdbp trace");
-
-  const Instance instance = trace::read_instance_csv(path);
-  const AlgorithmPtr algo = make_algorithm(algo_name, instance.mu());
-  obs::MetricsRegistry::global().reset();
-#ifndef CDBP_OBS_OFF
-  obs::Tracer::global().set_sink(make_trace_sink(out_path, format));
-  struct SinkGuard {
-    ~SinkGuard() { obs::Tracer::global().clear_sink(); }
-  } sink_guard;
-#endif
-  const RunResult result = Simulator{}.run(instance, *algo);
-#ifndef CDBP_OBS_OFF
-  obs::Tracer::global().clear_sink();  // finalize before reporting
-#endif
-
-  out << instance.summary() << "\n"
-      << algo->name() << ": cost=" << result.cost
-      << " bins=" << result.bins_opened << " peak=" << result.max_open
-      << "\n"
-      << "trace (" << format << ") written to " << out_path << "\n";
-  if (metrics_out) {
-    write_metrics_file(*metrics_out);
-    out << "metrics written to " << *metrics_out << "\n";
-  }
   return 0;
 }
 
@@ -889,16 +863,8 @@ int cmd_serve(Flags& flags, std::ostream& out, std::ostream& err) {
   // Graceful shutdown of a networked serve checkpoints each shard so the
   // next start replays a WAL tail, not the whole log.
   rc.final_checkpoint = listen.has_value();
+  TraceScope trace(trace_out, trace_format);
 #ifndef CDBP_OBS_OFF
-  if (trace_out)
-    obs::Tracer::global().set_sink(make_trace_sink(
-        *trace_out, trace_format.value_or(infer_trace_format(*trace_out))));
-  struct SinkGuard {
-    bool armed;
-    ~SinkGuard() {
-      if (armed) obs::Tracer::global().clear_sink();
-    }
-  } sink_guard{trace_out.has_value()};
   std::unique_ptr<serve::StatsExporter> stats;
   if (stats_out) {
     // A signal handler may only store to a lock-free atomic; the exporter's
@@ -910,43 +876,41 @@ int cmd_serve(Flags& flags, std::ostream& out, std::ostream& err) {
         serve::StatsExporterConfig{*stats_out, stats_interval});
   }
 #else
-  (void)trace_format;
   (void)stats_interval;
 #endif
-  // Declared before the router so they outlive its workers' callbacks.
+  const auto make_algo = [&] { return make_algorithm(algo_name, mu_hint); };
+  // Declared before the routers so they outlive their workers' callbacks.
   std::mutex placements_mu;  // acks arrive on every shard's worker
   std::vector<serve::ServeResult> placements;
-  serve::ShardRouter router(
-      rc, [&] { return make_algorithm(algo_name, mu_hint); }, algo_name);
+  std::optional<serve::ShardRouter> file_router;  // --in
+  std::optional<net::NetListener> listener;       // --listen: owns its router
   std::uint64_t submitted = 0;
   std::uint64_t rejected = 0;
   bool interrupted = false;
   if (listen) {
     net::ListenerConfig lc;
     std::tie(lc.host, lc.port) = parse_hostport(*listen, "--listen");
-    lc.loops = std::max<std::size_t>(loops, 1);
+    lc.loops = loops;
     lc.quota_rate = quota_rate;
     lc.quota_burst = quota_burst;
-    net::NetListener listener(lc, router);
+    listener.emplace(lc, rc, make_algo, algo_name);
     // The bound port resolves --listen :0; print it first and flush so a
     // parent process (the CI soak, the bench driver) can connect.
-    out << "listening on " << lc.host << ":" << listener.port() << "\n"
+    out << "listening on " << lc.host << ":" << listener->port() << "\n"
         << std::flush;
     install_shutdown_handlers();
     while (g_shutdown == 0) {
-      if (max_offers > 0 && listener.terminal_offers() >= max_offers) break;
+      if (max_offers > 0 && listener->terminal_offers() >= max_offers) break;
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
     interrupted = g_shutdown != 0;
     // Graceful shutdown: stop accepting, answer stragglers kShutdown,
     // flush every admitted offer's response, then stop the shards (which
     // checkpoints and finalizes each session).
-    listener.begin_drain();
-    if (!listener.drain(drain_ms))
+    if (!listener->drain(drain_ms))
       err << "serve: listener drain timed out after " << drain_ms << " ms\n";
-    listener.stop();
-    router.stop();
-    const net::ListenerCounters c = listener.counters();
+    listener->stop();
+    const net::ListenerCounters c = listener->counters();
     submitted = c.offers_admitted;
     out << "listener: accepted=" << c.accepted << " active=" << c.active
         << " closed=" << c.closed << " accept-errors=" << c.accept_errors
@@ -962,6 +926,7 @@ int cmd_serve(Flags& flags, std::ostream& out, std::ostream& err) {
         << " skipped=" << c.offers_skipped
         << " failed=" << c.offers_failed << "\n";
   } else {
+    serve::ShardRouter& router = file_router.emplace(rc, make_algo, algo_name);
     const std::vector<serve::ServeRequest> stream =
         serve::read_stream_csv(in_path);
     // The router keeps no placements; --out gathers them from the acks.
@@ -986,13 +951,11 @@ int cmd_serve(Flags& flags, std::ostream& out, std::ostream& err) {
   }
 #ifndef CDBP_OBS_OFF
   if (stats) stats->stop();  // final page covers the run's tail
-  if (trace_out) {
-    obs::Tracer::global().clear_sink();  // finalize the file
-    sink_guard.armed = false;
-  }
 #endif
+  trace.finish();
 
-  print_serve_summary(router, rc.resume, submitted, rejected, out, err);
+  print_serve_summary(listener ? listener->router() : *file_router, rc.resume,
+                      submitted, rejected, out, err);
 
   if (out_path) write_placements(std::move(placements), *out_path, out);
   if (metrics_out) {
@@ -1322,7 +1285,6 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     if (args[0] == "pack-instance") return cmd_pack_instance(flags, out);
     if (args[0] == "run") return cmd_run(flags, out);
     if (args[0] == "sim-sweep") return cmd_sim_sweep(flags, out);
-    if (args[0] == "trace") return cmd_trace(flags, out);
     if (args[0] == "bounds") return cmd_bounds(flags, out);
     if (args[0] == "compare") return cmd_compare(flags, out);
     if (args[0] == "stats") return cmd_stats(flags, out);

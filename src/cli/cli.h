@@ -8,8 +8,6 @@
 //   cdbp run      --algo ALGO --in FILE [--gantt] [--timeline FILE]
 //                 [--trace-out FILE [--trace-format chrome|jsonl]]
 //                 [--metrics-out FILE]
-//   cdbp trace    --algo ALGO --in FILE --out FILE [--format chrome|jsonl]
-//                 [--metrics-out FILE]
 //   cdbp bounds   --in FILE
 //   cdbp compare  --in FILE            (all applicable algorithms)
 //   cdbp adversary --algo ALGO --n N [--rounds R]

@@ -1,7 +1,6 @@
 #include "net/listener.h"
 
 #include <fcntl.h>
-#include <poll.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -41,16 +40,6 @@ obs::Counter& gn_read_throttles =
     obs::MetricsRegistry::global().counter("serve.net.read_throttles");
 obs::Counter& gn_offers_admitted =
     obs::MetricsRegistry::global().counter("serve.net.offers_admitted");
-
-/// Keeps the router's ack callback safe past the listener's lifetime: the
-/// std::function installed in the router holds this relay shared_ptr, and
-/// ~NetListener nulls the back-pointer, so acks arriving after destruction
-/// (drain timeout, owner stopping the router later) no-op instead of
-/// dangling.
-struct AckRelay {
-  std::mutex mu;
-  NetListener* listener = nullptr;
-};
 
 /// Tenant-id charset gate: the raw id is the canonical identity for
 /// routing, quotas, the WAL tenant field, and resume dedup, so it must be
@@ -136,6 +125,10 @@ struct NetListener::Loop {
   int wake_r = -1;
   int wake_w = -1;
   std::thread thread;
+  /// Loop 0 only: the listening socket (in `poller` until draining starts
+  /// closes it) and the loop the next accepted connection goes to.
+  int listen_fd = -1;
+  std::size_t next_loop = 0;
   std::atomic<bool> stop{false};
   /// Connections with unflushed output; recomputed each iteration once
   /// draining starts (initialized "unknown-nonzero" so drain() cannot
@@ -160,24 +153,27 @@ struct NetListener::Loop {
   }
 };
 
-NetListener::NetListener(ListenerConfig config, serve::ShardRouter& router)
+NetListener::NetListener(ListenerConfig config,
+                         serve::RouterConfig router_config,
+                         const std::function<AlgorithmPtr()>& make_algo,
+                         std::string algo_name)
     : config_(std::move(config)),
-      router_(router),
       env_(io::env_or_posix(config_.env)),
-      ctr_(std::make_unique<AtomicCounters>()) {
+      ctr_(std::make_unique<AtomicCounters>()),
+      router_(std::move(router_config), make_algo, std::move(algo_name)) {
   if (config_.loops == 0) config_.loops = 1;
   if (config_.quota_burst <= 0.0) config_.quota_burst = config_.quota_rate;
   if (config_.wbuf_low > config_.wbuf_high) config_.wbuf_low = config_.wbuf_high;
 
   int err = 0;
-  listen_fd_ =
+  const int listen_fd =
       env_.net_listen(config_.host, config_.port, config_.backlog, err);
-  if (listen_fd_ < 0)
+  if (listen_fd < 0)
     throw std::runtime_error("net: listen on " + config_.host + ":" +
                              std::to_string(config_.port) +
                              " failed: " + std::strerror(err));
   err = 0;
-  port_ = env_.net_bound_port(listen_fd_, err);
+  port_ = env_.net_bound_port(listen_fd, err);
 
   try {
     for (std::size_t i = 0; i < config_.loops; ++i) {
@@ -190,72 +186,69 @@ NetListener::NetListener(ListenerConfig config, serve::ShardRouter& router)
       loop->poller.add(loop->wake_r, true, false);
       loops_.push_back(std::move(loop));
     }
+    loops_[0]->poller.add(listen_fd, true, false);
   } catch (...) {
-    env_.net_close(listen_fd_);
+    env_.net_close(listen_fd);
     throw;
   }
-  // Installed once every loop exists: a throw above must not leave the
-  // router acking into a listener that never was.
-  auto relay = std::make_shared<AckRelay>();
-  relay->listener = this;
-  ack_relay_ = relay;
-  router_.set_on_ack([relay](const serve::ServeResult& r,
-                             serve::AckKind kind) {
-    std::lock_guard<std::mutex> lock(relay->mu);
-    if (relay->listener != nullptr) relay->listener->handle_ack(r, kind);
+  loops_[0]->listen_fd = listen_fd;
+  router_.set_on_ack([this](const serve::ServeResult& r, serve::AckKind kind) {
+    handle_ack(r, kind);
   });
   for (auto& loop : loops_) {
     Loop* l = loop.get();
     l->thread = std::thread([this, l] { event_loop(*l); });
   }
-  acceptor_ = std::thread([this] { accept_loop(); });
 }
 
 NetListener::~NetListener() {
-  stop();
-  if (auto relay = std::static_pointer_cast<AckRelay>(ack_relay_)) {
-    std::lock_guard<std::mutex> lock(relay->mu);
-    relay->listener = nullptr;
+  try {
+    stop();
+  } catch (...) {
+    // The router's worker error: an explicit stop() reports it.
   }
 }
 
-void NetListener::accept_loop() {
-  std::size_t next_loop = 0;
-  while (!stopped_.load(std::memory_order_relaxed) &&
-         !draining_.load(std::memory_order_relaxed)) {
-    ::pollfd p{};
-    p.fd = listen_fd_;
-    p.events = POLLIN;
-    const int pr = ::poll(&p, 1, 100);
-    if (pr <= 0) continue;
-    for (;;) {
-      int err = 0;
-      const int fd = env_.net_accept(listen_fd_, err);
-      if (fd < 0) {
-        if (!io::transient_errno(err))
-          // ECONNABORTED and friends (or an injected EIO): count it and
-          // keep accepting — a fault here must not kill the acceptor.
-          ctr_->accept_errors.fetch_add(1, std::memory_order_relaxed);
-        break;
-      }
-      auto conn = std::make_shared<Connection>();
-      conn->fd = fd;
-      conn->loop_idx = next_loop;
-      Loop& loop = *loops_[next_loop];
-      next_loop = (next_loop + 1) % loops_.size();
-      ctr_->accepted.fetch_add(1, std::memory_order_relaxed);
-      ctr_->active.fetch_add(1, std::memory_order_relaxed);
-      gn_accepted.add();
-      gn_active.add(1.0);
-      {
-        std::lock_guard<std::mutex> lock(loop.pending_mu);
-        loop.pending_adds.push_back(std::move(conn));
-      }
-      loop.wake();
+void NetListener::accept_ready(Loop& loop) {
+  for (;;) {
+    int err = 0;
+    const int fd = env_.net_accept(loop.listen_fd, err);
+    if (fd < 0) {
+      // EAGAIN (none left) and EINTR end this pass: level-triggered epoll
+      // reports the socket again while a connection waits. ECONNABORTED
+      // and friends (or an injected EIO) are counted and end it too; they
+      // must not stop accepting.
+      if (!io::transient_errno(err))
+        ctr_->accept_errors.fetch_add(1, std::memory_order_relaxed);
+      return;
     }
+    auto conn = std::make_shared<Connection>();
+    conn->fd = fd;
+    conn->loop_idx = loop.next_loop;
+    loop.next_loop = (loop.next_loop + 1) % loops_.size();
+    ctr_->accepted.fetch_add(1, std::memory_order_relaxed);
+    ctr_->active.fetch_add(1, std::memory_order_relaxed);
+    gn_accepted.add();
+    gn_active.add(1.0);
+    if (conn->loop_idx == loop.idx) {
+      loop.poller.add(fd, true, false);
+      loop.conns.emplace(fd, std::move(conn));
+      continue;
+    }
+    Loop& owner = *loops_[conn->loop_idx];
+    {
+      std::lock_guard<std::mutex> lock(owner.pending_mu);
+      owner.pending_adds.push_back(std::move(conn));
+    }
+    owner.wake();
   }
-  env_.net_close(listen_fd_);
-  listen_fd_ = -1;
+}
+
+void NetListener::stop_accepting(Loop& loop) {
+  if (loop.listen_fd < 0) return;
+  loop.poller.remove(loop.listen_fd);
+  env_.net_close(loop.listen_fd);
+  loop.listen_fd = -1;
 }
 
 void NetListener::event_loop(Loop& loop) {
@@ -288,6 +281,10 @@ void NetListener::event_loop(Loop& loop) {
         }
         continue;
       }
+      if (e.fd == loop.listen_fd) {
+        if (!draining_.load(std::memory_order_relaxed)) accept_ready(loop);
+        continue;
+      }
       auto it = loop.conns.find(e.fd);
       if (it == loop.conns.end()) continue;
       const std::shared_ptr<Connection> conn = it->second;
@@ -314,6 +311,7 @@ void NetListener::event_loop(Loop& loop) {
       for (auto& c : scratch) retry_parked(loop, c);
     }
     if (draining_.load(std::memory_order_relaxed)) {
+      stop_accepting(loop);
       // Snapshot first: flush_conn can close (and unmap) a connection, so
       // never flush while iterating the live map.
       scratch.clear();
@@ -330,7 +328,9 @@ void NetListener::event_loop(Loop& loop) {
       loop.unflushed.store(scratch.size(), std::memory_order_relaxed);
     }
   }
-  // Shutdown: close every connection this loop owns.
+  // Shutdown: close the listening socket and every connection this loop
+  // owns.
+  stop_accepting(loop);
   for (auto& [fd, c] : loop.conns) {
     (void)fd;
     if (!c->closed.exchange(true, std::memory_order_relaxed)) {
@@ -897,7 +897,6 @@ void NetListener::stop() {
     loop->stop.store(true, std::memory_order_relaxed);
     loop->wake();
   }
-  if (acceptor_.joinable()) acceptor_.join();
   for (auto& loop : loops_) {
     if (loop->thread.joinable()) loop->thread.join();
   }
@@ -915,6 +914,9 @@ void NetListener::stop() {
     loop->pending_adds.clear();
     loop->dirty.clear();
   }
+  // Last: in-queue offers still commit, and their acks (which only find
+  // closed connections now) reach a listener that is still whole.
+  router_.stop();
 }
 
 ListenerCounters NetListener::counters() const {

@@ -1,12 +1,15 @@
-// NetListener: the serve plane's socket front end.
+// NetListener: the networked serve stack — a ShardRouter behind a socket
+// front end, built, served and stopped as one unit.
 //
-// Threads: one acceptor plus `loops` reader/writer event loops, each owning
-// an epoll Poller and a wake pipe.
-// Accepted connections are assigned round-robin to loops; from then on all
-// of a connection's socket I/O happens on its loop thread. Shard workers
-// never touch sockets: their completion callbacks (ShardRouter::set_on_ack)
-// encode the response into the connection's mutex-guarded outbox and wake
-// the owning loop, which splices it into the loop-owned write buffer.
+// Threads: the router's shard workers plus `loops` reader/writer event
+// loops, each owning an epoll Poller and a wake pipe. Loop 0 also keeps the
+// listening socket in its epoll set: it accepts until EAGAIN and assigns
+// connections round-robin to loops (its own directly, the others through
+// their pending-add inbox); from then on all of a connection's socket I/O
+// happens on its loop thread. Shard workers never touch sockets: the
+// listener's ack callback (ShardRouter::set_on_ack) encodes the response
+// into the connection's mutex-guarded outbox and wakes the owning loop,
+// which splices it into the loop-owned write buffer.
 //
 // Backpressure, layered:
 //  - write side: a connection whose write buffer crosses `wbuf_high` stops
@@ -32,10 +35,10 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -89,12 +92,16 @@ struct ListenerCounters {
 
 class NetListener {
  public:
-  /// Binds and starts the acceptor + loop threads. Installs itself as the
-  /// router's ack callback (set_on_ack) — the router must not have another
-  /// producer submitting concurrently. Throws on bind failure or when an
-  /// event loop's epoll instance or wake pipe cannot be made; a throw leaves
-  /// no descriptor open and no ack callback installed.
-  NetListener(ListenerConfig config, serve::ShardRouter& router);
+  /// Builds the router (recovering every shard when router_config.resume),
+  /// then binds, installs its ack callback on the router (the listener is
+  /// the router's only producer) and starts the event loops. Throws when
+  /// the router cannot be built, on bind failure, or when an event loop's
+  /// epoll instance or wake pipe cannot be made; a throw leaves no
+  /// descriptor open. `make_algo`/`algo_name` are as for ShardRouter.
+  NetListener(ListenerConfig config, serve::RouterConfig router_config,
+              const std::function<AlgorithmPtr()>& make_algo,
+              std::string algo_name);
+  /// stop(), swallowing the router's worker error as ~ShardRouter does.
   ~NetListener();
 
   NetListener(const NetListener&) = delete;
@@ -103,17 +110,24 @@ class NetListener {
   /// Actual bound port (resolves port 0).
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
+  /// The router this listener feeds. Its stats are valid after stop().
+  [[nodiscard]] const serve::ShardRouter& router() const noexcept {
+    return router_;
+  }
+
   /// Stops accepting; every subsequent offer is answered kShutdown and
   /// parked offers are flushed as kShutdown. Idempotent.
   void begin_drain();
 
-  /// Waits until every admitted offer has its terminal response written and
-  /// flushed (or the deadline passes). Returns true when fully drained.
+  /// begin_drain(), then waits until every admitted offer has its terminal
+  /// response written and flushed (or the deadline passes). Returns true
+  /// when fully drained.
   bool drain(std::uint32_t timeout_ms);
 
-  /// Closes every connection and joins all threads. Idempotent. Does NOT
-  /// stop the router (the owner stops it after, so in-queue work still
-  /// commits).
+  /// Closes every connection and joins the event loops, then stops the
+  /// router: offers still queued are committed (their acks find their
+  /// connections closed), and no ack arrives after stop() returns.
+  /// Rethrows the router's first unexpected worker error. Idempotent.
   void stop();
 
   [[nodiscard]] ListenerCounters counters() const;
@@ -125,8 +139,9 @@ class NetListener {
   struct Connection;
   struct Loop;
 
-  void accept_loop();
   void event_loop(Loop& loop);
+  void accept_ready(Loop& loop);
+  void stop_accepting(Loop& loop);
   void handle_ack(const serve::ServeResult& result, serve::AckKind kind);
 
   // Loop-thread helpers (all run on the connection's owning loop).
@@ -150,13 +165,10 @@ class NetListener {
   [[nodiscard]] std::string stats_text() const;
 
   ListenerConfig config_;
-  serve::ShardRouter& router_;
   io::Env& env_;
-  int listen_fd_ = -1;
   std::uint16_t port_ = 0;
 
   std::vector<std::unique_ptr<Loop>> loops_;
-  std::thread acceptor_;
   std::atomic<bool> draining_{false};
   std::atomic<bool> stopped_{false};
   std::atomic<std::uint64_t> terminal_offers_{0};
@@ -178,11 +190,9 @@ class NetListener {
   struct AtomicCounters;
   std::unique_ptr<AtomicCounters> ctr_;
 
-  /// Detachable indirection behind the router's ack callback: the callback
-  /// holds this (type-erased) relay, and the destructor nulls the
-  /// back-pointer inside it, so acks arriving after the listener is gone
-  /// (drain timeout, router stopped later) no-op instead of dangling.
-  std::shared_ptr<void> ack_relay_;
+  /// Declared last, so destroyed first: its workers ack into everything
+  /// above, and stop() has normally stopped it already.
+  serve::ShardRouter router_;
 };
 
 }  // namespace cdbp::net

@@ -52,12 +52,10 @@ CaseOutcome run_case(const NetChaosConfig& cfg,
   rc.shards = cfg.shards;
   rc.fsync = serve::FsyncPolicy::kEvery;  // ack == durable, checkable
   rc.queue_capacity = 64;
-  serve::ShardRouter router(rc, cfg.make_algo, cfg.algo_name);
-
   ListenerConfig lc;
   lc.loops = 2;
   lc.env = env;
-  NetListener listener(lc, router);
+  NetListener listener(lc, rc, cfg.make_algo, cfg.algo_name);
 
   ClientConfig cc;
   cc.port = listener.port();
@@ -66,11 +64,9 @@ CaseOutcome run_case(const NetChaosConfig& cfg,
   CaseOutcome out;
   out.client = run_load(cc, stream);
 
-  listener.begin_drain();
   (void)listener.drain(5000);
   out.net = listener.counters();
   listener.stop();
-  router.stop();
   if (env != nullptr) out.faults = env->faults_injected();
   return out;
 }

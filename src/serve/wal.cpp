@@ -93,7 +93,6 @@ WalWriter::WalWriter(std::string path, FsyncPolicy policy, bool truncate,
       io::sync_parent_dir(*env_, path_);
     }
   }
-  synced_bytes_ = bytes_;
 }
 
 WalWriter::~WalWriter() {
@@ -132,7 +131,6 @@ void WalWriter::append(const WalRecord& rec) {
 void WalWriter::sync() {
   if (!file_) return;
   fsync_file(*file_, path_);
-  synced_bytes_ = bytes_;
   unsynced_ = 0;
 }
 

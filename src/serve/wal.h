@@ -123,11 +123,6 @@ class WalWriter {
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
   /// Current file size in bytes (header + all appended frames).
   [[nodiscard]] std::uint64_t file_bytes() const noexcept { return bytes_; }
-  /// Durability watermark: bytes guaranteed on disk as of the last fsync.
-  /// (Crash simulators truncate to this to model losing the page cache.)
-  [[nodiscard]] std::uint64_t synced_bytes() const noexcept {
-    return synced_bytes_;
-  }
   [[nodiscard]] std::size_t unsynced() const noexcept { return unsynced_; }
 
  private:
@@ -138,7 +133,6 @@ class WalWriter {
   std::size_t unsynced_ = 0;
   std::uint64_t appended_ = 0;
   std::uint64_t bytes_ = 0;
-  std::uint64_t synced_bytes_ = 0;
   std::string frame_;  ///< encode buffer, reused across appends
 };
 

@@ -459,19 +459,4 @@ std::string SegmentedWal::active_segment_path() const {
   return full_path(manifest_.segments.back().file);
 }
 
-std::vector<std::pair<std::string, std::uint64_t>>
-SegmentedWal::synced_watermarks() const {
-  std::vector<std::pair<std::string, std::uint64_t>> out;
-  for (std::size_t i = 0; i < manifest_.segments.size(); ++i) {
-    const std::string path = full_path(manifest_.segments[i].file);
-    if (i + 1 == manifest_.segments.size() && writer_) {
-      out.emplace_back(path, writer_->synced_bytes());
-    } else {
-      // Sealed segments were fsynced in full at rotation time.
-      out.emplace_back(path, file_size_or_zero(*env_, path));
-    }
-  }
-  return out;
-}
-
 }  // namespace cdbp::serve

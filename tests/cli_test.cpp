@@ -282,10 +282,10 @@ TEST(Cli, TraceCommandWritesChromeTraceOfHybridOnSigmaMu) {
   ASSERT_EQ(cli({"generate", "--kind", "binary", "--n", "4", "--out", inst})
                 .code,
             0);
-  const CliRun r = cli({"trace", "--algo", "ha", "--in", inst, "--out",
+  const CliRun r = cli({"run", "--algo", "ha", "--in", inst, "--trace-out",
                         trace_path, "--metrics-out", metrics});
   EXPECT_EQ(r.code, 0) << r.err;
-  EXPECT_NE(r.out.find("trace (chrome) written"), std::string::npos);
+  EXPECT_NE(r.out.find("trace written to " + trace_path), std::string::npos);
 
   const std::string body = read_file(trace_path);
   EXPECT_EQ(body.rfind("{\"traceEvents\":[", 0), 0u) << body.substr(0, 80);
@@ -315,9 +315,9 @@ TEST(Cli, TraceCommandWritesJsonl) {
             0);
   // Format inferred from the .jsonl extension.
   const CliRun r =
-      cli({"trace", "--algo", "ha", "--in", inst, "--out", trace_path});
+      cli({"run", "--algo", "ha", "--in", inst, "--trace-out", trace_path});
   EXPECT_EQ(r.code, 0) << r.err;
-  EXPECT_NE(r.out.find("trace (jsonl) written"), std::string::npos);
+  EXPECT_NE(r.out.find("trace written to " + trace_path), std::string::npos);
 
   std::ifstream in(trace_path);
   std::string line;

@@ -10,6 +10,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <mutex>
 #include <new>
 #include <stdexcept>
@@ -20,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "cli/cli.h"
+#include "core/io_env.h"
 #include "serve/durable_session.h"
 
 namespace cdbp::serve {
@@ -158,10 +160,10 @@ TEST(GroupCommitTest, IndependentTargetsCommitInOneRound) {
 }
 
 // The acceptance-criteria crash test, in-process: every offer ACKED under
-// fsync=every (through the group-commit path) must survive a simulated
-// power loss that truncates each WAL file to its fsync watermark — the
-// bytes the page cache would have lost. kNone, as a control, loses data
-// under the same simulation, proving the simulator has teeth.
+// fsync=every (through the group-commit path) must survive a power loss —
+// io::FaultInjectingEnv::simulate_power_loss, which drops every byte not
+// fsynced and every directory entry not dir-fsynced. kNone, as a control,
+// loses data under the same model, proving the model has teeth.
 class GroupCommitDurabilityTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -177,23 +179,26 @@ class GroupCommitDurabilityTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  /// Copies the session's WAL chain into `crash_dir`, truncating every
-  /// segment to its durability watermark: exactly what a kill -9 plus
-  /// page-cache loss leaves behind.
-  void simulate_power_loss(const DurableSession& s,
-                           const fs::path& crash_dir) const {
-    fs::remove_all(crash_dir);
-    fs::create_directories(crash_dir);
-    const std::string manifest =
-        s.wal()->base() + ".manifest";  // durably written at every rewrite
-    if (fs::exists(manifest))
-      fs::copy_file(manifest,
-                    crash_dir / fs::path(manifest).filename());
-    for (const auto& [path, watermark] : s.wal()->synced_watermarks()) {
-      const fs::path dst = crash_dir / fs::path(path).filename();
-      fs::copy_file(path, dst);
-      if (fs::file_size(dst) > watermark) fs::resize_file(dst, watermark);
+  /// Runs a session over `env` in the fresh directory `run`, offers
+  /// `offers` items (offer() returning IS the acknowledgement), cuts the
+  /// power, and recovers through the same env.
+  static std::unique_ptr<DurableSession> crash_and_recover(
+      DurableSessionConfig cfg, const fs::path& run, std::uint64_t offers,
+      io::FaultInjectingEnv& env) {
+    fs::create_directories(run);
+    cfg.env = &env;
+    cfg.wal_path = (run / "s.wal").string();
+    cfg.checkpoint_path = (run / "s.ckpt").string();
+    {
+      DurableSession s(cli::make_algorithm("ff"), "ff", cfg);
+      for (std::uint64_t i = 0; i < offers; ++i)
+        s.offer(0.5 * static_cast<double>(i),
+                0.5 * static_cast<double>(i) + 4.0, 0.25, i + 1);
+      env.simulate_power_loss();
     }
+    cfg.resume = true;
+    return std::make_unique<DurableSession>(cli::make_algorithm("ff"), "ff",
+                                            cfg);
   }
 
   fs::path dir_;
@@ -209,50 +214,25 @@ TEST_F(GroupCommitDurabilityTest, AckedOfferSurvivesDroppedUnsyncedBytes) {
   for (DurableSessionConfig cfg : {group, DurableSessionConfig{}}) {
     const std::string name = cfg.group_commit != nullptr ? "group" : "default";
     SCOPED_TRACE(name);
-    cfg.wal_path = (dir_ / (name + ".wal")).string();
-    cfg.checkpoint_path = (dir_ / (name + ".ckpt")).string();
     cfg.wal_segment_bytes = 256;  // cross rotation boundaries too
-    DurableSession s(cli::make_algorithm("ff"), "ff", cfg);
-
-    for (std::uint64_t i = 0; i < 20; ++i) {
-      // offer() returning IS the acknowledgement.
-      s.offer(0.5 * static_cast<double>(i),
-              0.5 * static_cast<double>(i) + 4.0, 0.25, i + 1);
-      const fs::path crash_dir =
-          dir_ / (name + "-crash" + std::to_string(i));
-      simulate_power_loss(s, crash_dir);
-
-      DurableSessionConfig rc;
-      rc.wal_path = (crash_dir / (name + ".wal")).string();
-      rc.checkpoint_path = (crash_dir / (name + ".ckpt")).string();
-      rc.resume = true;
-      rc.wal_segment_bytes = 256;
-      DurableSession rec(cli::make_algorithm("ff"), "ff", rc);
-      EXPECT_EQ(rec.seq(), i + 1)
-          << "offer " << i << " was acked but did not survive the crash";
-      EXPECT_EQ(rec.last_stream_index(), i + 1);
+    for (std::uint64_t acked = 1; acked <= 20; ++acked) {
+      io::FaultInjectingEnv env;
+      const std::unique_ptr<DurableSession> rec = crash_and_recover(
+          cfg, dir_ / (name + std::to_string(acked)), acked, env);
+      EXPECT_EQ(rec->seq(), acked)
+          << "offer " << acked << " was acked but did not survive the crash";
+      EXPECT_EQ(rec->last_stream_index(), acked);
     }
   }
 }
 
 TEST_F(GroupCommitDurabilityTest, ControlWithoutFsyncLosesUnsyncedBytes) {
   DurableSessionConfig cfg;
-  cfg.wal_path = (dir_ / "lossy.wal").string();
-  cfg.checkpoint_path = (dir_ / "lossy.ckpt").string();
   cfg.fsync = FsyncPolicy::kNone;
-  DurableSession s(cli::make_algorithm("ff"), "ff", cfg);
-  for (std::uint64_t i = 0; i < 8; ++i)
-    s.offer(0.5 * static_cast<double>(i),
-            0.5 * static_cast<double>(i) + 4.0, 0.25, i + 1);
-
-  const fs::path crash_dir = dir_ / "crash";
-  simulate_power_loss(s, crash_dir);
-  DurableSessionConfig rc;
-  rc.wal_path = (crash_dir / "lossy.wal").string();
-  rc.checkpoint_path = (crash_dir / "lossy.ckpt").string();
-  rc.resume = true;
-  DurableSession rec(cli::make_algorithm("ff"), "ff", rc);
-  EXPECT_LT(rec.seq(), 8u)
+  io::FaultInjectingEnv env;
+  const std::unique_ptr<DurableSession> rec =
+      crash_and_recover(cfg, dir_ / "lossy", 8, env);
+  EXPECT_LT(rec->seq(), 8u)
       << "the power-loss simulation failed to drop unsynced bytes — the "
          "durability assertions above prove nothing";
 }
