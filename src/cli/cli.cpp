@@ -272,6 +272,8 @@ void write_metrics_file(const std::string& path) {
 
 void print_usage(std::ostream& out) {
   out << "usage: cdbp <command> [flags]\n"
+      << "  (an instance FILE, --in or --a/--b, is CSV, or the binary\n"
+      << "   format when it ends in .cdbpi)\n"
       << "  generate  --kind binary|aligned|general|cloud [--n N]\n"
       << "            [--seed S] [--items K] [--shape NAME] --out FILE\n"
       << "            (FILE ending .cdbpi writes the binary format)\n"
@@ -548,7 +550,7 @@ int cmd_sim_sweep(Flags& flags, std::ostream& out) {
 int cmd_bounds(Flags& flags, std::ostream& out) {
   const std::string path = flags.require("in");
   flags.finish();
-  const Instance instance = trace::read_instance_csv(path);
+  const Instance instance = read_instance_any(path);
   opt::CertifyOptions copts;
   copts.exact_repacking = false;
   copts.exact_nonrepacking = false;
@@ -578,7 +580,7 @@ int cmd_bounds(Flags& flags, std::ostream& out) {
 int cmd_compare(Flags& flags, std::ostream& out) {
   const std::string path = flags.require("in");
   flags.finish();
-  const Instance instance = trace::read_instance_csv(path);
+  const Instance instance = read_instance_any(path);
   const bool aligned = instance.is_aligned();
   const opt::Bounds bounds = opt::compute_bounds(instance);
 
@@ -602,7 +604,7 @@ int cmd_compare(Flags& flags, std::ostream& out) {
 int cmd_stats(Flags& flags, std::ostream& out) {
   const std::string path = flags.require("in");
   flags.finish();
-  const Instance instance = trace::read_instance_csv(path);
+  const Instance instance = read_instance_any(path);
   out << analysis::to_string(analysis::compute_instance_stats(instance));
   return 0;
 }
@@ -611,7 +613,7 @@ int cmd_reduce(Flags& flags, std::ostream& out) {
   const std::string in_path = flags.require("in");
   const std::string out_path = flags.require("out");
   flags.finish();
-  const Instance instance = trace::read_instance_csv(in_path);
+  const Instance instance = read_instance_any(in_path);
   const Instance reduced = opt::apply_reduction(instance);
   trace::write_instance_csv(reduced, out_path);
   out << "reduced " << instance.summary() << "\n"
@@ -628,7 +630,7 @@ int cmd_exact(Flags& flags, std::ostream& out) {
   const std::string path = flags.require("in");
   const auto threads = flags.count<std::size_t>("threads", 1);
   flags.finish();
-  const Instance instance = trace::read_instance_csv(path);
+  const Instance instance = read_instance_any(path);
   out << instance.summary() << "\n";
   opt::CertifyOptions copts;
   copts.repacking.threads = threads;
@@ -660,8 +662,8 @@ int cmd_merge(Flags& flags, std::ostream& out) {
   const std::string out_path = flags.require("out");
   const double gap = flags.real("gap", -1.0);
   flags.finish();
-  const Instance a = trace::read_instance_csv(a_path);
-  const Instance b = trace::read_instance_csv(b_path);
+  const Instance a = read_instance_any(a_path);
+  const Instance b = read_instance_any(b_path);
   // gap < 0: superimpose; gap >= 0: concatenate with that idle gap.
   const Instance combined = gap < 0.0 ? merge(a, b) : concat(a, b, gap);
   trace::write_instance_csv(combined, out_path);
@@ -677,7 +679,7 @@ int cmd_cluster(Flags& flags, std::ostream& out) {
   const double idle = flags.real("idle", 0.4);
   flags.finish();
 
-  const Instance instance = trace::read_instance_csv(path);
+  const Instance instance = read_instance_any(path);
   const AlgorithmPtr algo = make_algorithm(algo_name, instance.mu());
   const RunResult result = Simulator{}.run(instance, *algo);
   out << instance.summary() << "\n"

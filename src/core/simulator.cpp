@@ -85,7 +85,7 @@ RunResult run_simulation(const SimulatorOptions& opts, NextFn&& next,
       throw std::logic_error(
           "Simulator: algorithm did not place the item in the bin it "
           "returned");
-    if (opts.keep_history) result.placements.push_back({r.id, bin});
+    if (opts.keep_history) result.placements.push_back(bin);
     if (tracer.enabled())
       tracer.instant("sim.arrival", "sim",
                      {{"item", r.id},
@@ -105,15 +105,11 @@ RunResult run_simulation(const SimulatorOptions& opts, NextFn&& next,
   if (ledger.open_count() != 0)
     throw std::logic_error("Simulator: bins left open after drain");
 
-  const Time end = ledger.clock();
-  result.cost = ledger.total_usage(end);
+  result.cost = ledger.total_usage(ledger.clock());
   result.bins_opened = ledger.bins_opened();
   result.max_open = ledger.max_open();
   result.items = n_items;
-  if (opts.keep_history) {
-    result.bins = std::move(ledger).records();
-    result.open_bins = open_bins_profile(result.bins, end);
-  }
+  if (opts.keep_history) result.bins = std::move(ledger).records();
   return result;
 }
 
@@ -152,14 +148,16 @@ ItemsByBin items_by_bin(const RunResult& result) {
   };
   ItemsByBin out;
   out.offsets.assign(n_bins + 1, 0);
-  for (const PlacementRecord& p : result.placements)
-    if (known(p.bin)) ++out.offsets[static_cast<std::size_t>(p.bin) + 1];
+  for (const BinId bin : result.placements)
+    if (known(bin)) ++out.offsets[static_cast<std::size_t>(bin) + 1];
   for (std::size_t b = 0; b < n_bins; ++b) out.offsets[b + 1] += out.offsets[b];
   out.items.resize(out.offsets[n_bins]);
   std::vector<std::size_t> fill(out.offsets.begin(), out.offsets.end() - 1);
-  for (const PlacementRecord& p : result.placements)
-    if (known(p.bin))
-      out.items[fill[static_cast<std::size_t>(p.bin)]++] = p.item;
+  for (std::size_t i = 0; i < result.placements.size(); ++i) {
+    const BinId bin = result.placements[i];
+    if (known(bin))
+      out.items[fill[static_cast<std::size_t>(bin)]++] = static_cast<ItemId>(i);
+  }
   return out;
 }
 

@@ -15,15 +15,8 @@
 #include "core/instance.h"
 #include "core/item_source.h"
 #include "core/ledger.h"
-#include "core/step_function.h"
 
 namespace cdbp {
-
-/// Where each item ended up.
-struct PlacementRecord {
-  ItemId item = 0;
-  BinId bin = kNoBin;
-};
 
 /// The outcome of a complete run.
 struct RunResult {
@@ -31,10 +24,10 @@ struct RunResult {
   std::size_t bins_opened = 0;  ///< total bins ever opened
   std::size_t max_open = 0;     ///< peak simultaneously-open bins
   std::size_t items = 0;        ///< items replayed
-  StepFunction open_bins;       ///< #open bins as a function of time
-  /// Item -> bin, in arrival order (entry i is item i): the run's only
-  /// record of which items each bin held (see items_by_bin).
-  std::vector<PlacementRecord> placements;
+  /// Item -> bin: entry i is the bin of item i (ids are arrival order).
+  /// The run's only record of which items each bin held (see
+  /// items_by_bin).
+  std::vector<BinId> placements;
   std::vector<BinRecord> bins;  ///< every bin's life, indexed by id
 };
 
@@ -54,8 +47,9 @@ struct ItemsByBin {
 /// Options controlling a run.
 struct SimulatorOptions {
   /// When true (default), record each placement and keep every bin's life
-  /// and the open-bins profile in the result. Disable for throughput
-  /// benchmarks on multi-million-item instances.
+  /// in the result (open_bins_profile(result.bins, ...) derives the
+  /// open-bins profile from them). Disable for throughput benchmarks on
+  /// multi-million-item instances.
   bool keep_history = true;
   /// Ledger backend; identical costs/placements either way (see ledger.h).
   LedgerStorage storage = LedgerStorage::kReference;

@@ -11,35 +11,41 @@ void StepFunction::add(Time from, Time to, double value) {
   pending_.emplace_back(to, -value);
 }
 
-void StepFunction::export_deltas(
-    std::vector<std::pair<Time, double>>& out) const {
-  for (std::size_t k = 0; k < times_.size(); ++k)
-    out.emplace_back(times_[k], deltas_[k]);
-}
-
 void StepFunction::finalize() const {
   if (pending_.empty()) return;
-  std::vector<std::pair<Time, double>> events;
-  events.reserve(times_.size() + pending_.size());
-  export_deltas(events);
-  events.insert(events.end(), pending_.begin(), pending_.end());
-  pending_.clear();
-  // Stable: equal-time deltas keep insertion order, so they sum in the
-  // same order the old map-based representation summed them.
-  std::stable_sort(events.begin(), events.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
-  times_.clear();
-  deltas_.clear();
-  for (const auto& [time, delta] : events) {
-    if (!times_.empty() && times_.back() == time) {
-      deltas_.back() += delta;
+  {
+    std::vector<std::pair<Time, double>> events;
+    if (times_.empty()) {
+      events.swap(pending_);  // first finalize: sort the adds in place
     } else {
-      times_.push_back(time);
-      deltas_.push_back(delta);
+      events.reserve(times_.size() + pending_.size());
+      for (std::size_t k = 0; k < times_.size(); ++k)
+        events.emplace_back(times_[k], deltas_[k]);
+      events.insert(events.end(), pending_.begin(), pending_.end());
+      pending_.clear();
     }
-  }
+    // Stable: equal-time deltas keep insertion order, so they sum in the
+    // same order the old map-based representation summed them.
+    std::stable_sort(events.begin(), events.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    std::size_t distinct = 0;
+    for (std::size_t k = 0; k < events.size(); ++k)
+      if (k == 0 || events[k].first != events[k - 1].first) ++distinct;
+    times_.clear();
+    deltas_.clear();
+    times_.reserve(distinct);
+    deltas_.reserve(distinct);
+    for (const auto& [time, delta] : events) {
+      if (!times_.empty() && times_.back() == time) {
+        deltas_.back() += delta;
+      } else {
+        times_.push_back(time);
+        deltas_.push_back(delta);
+      }
+    }
+  }  // the events are freed before the values are built
   values_.resize(times_.size());
   double value = 0.0;
   for (std::size_t k = 0; k < deltas_.size(); ++k) {
@@ -87,32 +93,12 @@ double StepFunction::support_measure(double eps) const {
   return acc;
 }
 
-Time StepFunction::min_breakpoint() const {
-  finalize();
-  return times_.empty() ? 0.0 : times_.front();
-}
-
-Time StepFunction::max_breakpoint() const {
-  finalize();
-  return times_.empty() ? 0.0 : times_.back();
-}
-
 std::vector<StepFunction::Sample> StepFunction::samples() const {
   finalize();
   std::vector<Sample> out;
   out.reserve(times_.size());
   for (std::size_t k = 0; k < times_.size(); ++k)
     out.push_back(Sample{times_[k], values_[k]});
-  return out;
-}
-
-StepFunction StepFunction::operator+(const StepFunction& o) const {
-  finalize();
-  o.finalize();
-  StepFunction out;
-  out.pending_.reserve(2 * (times_.size() + o.times_.size()));
-  export_deltas(out.pending_);
-  o.export_deltas(out.pending_);
   return out;
 }
 

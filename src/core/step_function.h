@@ -8,10 +8,12 @@
 // finalizes them into a flat sorted breakpoint array with prefixed values,
 // so at() is an O(log n) binary search and every aggregate (integral,
 // ceil_integral, support_measure, max_value) is one cache-friendly pass.
-// Further add()s re-dirty the cache; finalization is O(n log n) amortized
-// over the adds it absorbs. Equal-time deltas accumulate in insertion
-// order and breakpoints accumulate in ascending time order, matching the
-// former std::map-based implementation bit for bit.
+// The first finalization sorts the pending events in place; further add()s
+// re-dirty the cache and are merged with the breakpoints, O(n log n)
+// amortized over the adds each finalization absorbs. Equal-time deltas
+// accumulate in insertion order and breakpoints accumulate in ascending
+// time order, matching the former std::map-based implementation bit for
+// bit.
 //
 // The lazy cache makes const queries non-reentrant: do not query one
 // instance from multiple threads while it has pending adds (call
@@ -58,16 +60,6 @@ class StepFunction {
   /// Measure of { t : f(t) > eps }.
   [[nodiscard]] double support_measure(double eps = kLoadEps) const;
 
-  /// Earliest / latest breakpoints (0 if empty).
-  [[nodiscard]] Time min_breakpoint() const;
-  [[nodiscard]] Time max_breakpoint() const;
-
-  /// Number of breakpoints.
-  [[nodiscard]] std::size_t breakpoint_count() const {
-    finalize();
-    return times_.size();
-  }
-
   /// Returns the function as (time, value) samples: the value on
   /// [time_k, time_{k+1}). The last sample has value 0.
   struct Sample {
@@ -76,13 +68,7 @@ class StepFunction {
   };
   [[nodiscard]] std::vector<Sample> samples() const;
 
-  /// Pointwise sum.
-  [[nodiscard]] StepFunction operator+(const StepFunction& o) const;
-
  private:
-  /// Appends the finalized breakpoints as (time, delta) events to `out`.
-  void export_deltas(std::vector<std::pair<Time, double>>& out) const;
-
   // Events not yet merged, in insertion order.
   mutable std::vector<std::pair<Time, double>> pending_;
   // Finalized: times_ sorted unique; deltas_[k] the summed increment at

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <span>
 #include <sstream>
 
@@ -31,24 +30,18 @@ ValidationReport validate_run(const Instance& instance,
   ValidationReport rep;
   const std::vector<Item>& items = instance.items();
 
-  // 1. Placement completeness & uniqueness, each into a bin of the run.
-  std::vector<int> seen(items.size(), 0);
-  for (const PlacementRecord& p : result.placements) {
-    if (p.item < 0 || static_cast<std::size_t>(p.item) >= items.size()) {
+  // 1. One placement per item (entry i is item i's bin), each into a bin
+  //    of the run.
+  check(rep, result.placements.size() == items.size(),
+        "placement count " + std::to_string(result.placements.size()) +
+            " != item count " + std::to_string(items.size()));
+  for (std::size_t i = 0; i < result.placements.size(); ++i) {
+    const BinId bin = result.placements[i];
+    if (bin < 0 || static_cast<std::size_t>(bin) >= result.bins.size())
       check(rep, false,
-            "placement references unknown item " + std::to_string(p.item));
-      continue;
-    }
-    seen[static_cast<std::size_t>(p.item)] += 1;
-    if (p.bin < 0 || static_cast<std::size_t>(p.bin) >= result.bins.size())
-      check(rep, false,
-            "item " + std::to_string(p.item) + " placed in bin " +
-                std::to_string(p.bin) + ", which the run never opened");
+            "item " + std::to_string(i) + " placed in bin " +
+                std::to_string(bin) + ", which the run never opened");
   }
-  for (std::size_t i = 0; i < items.size(); ++i)
-    check(rep, seen[i] == 1,
-          "item " + std::to_string(i) + " placed " + std::to_string(seen[i]) +
-              " times");
 
   // Each bin's items are the placements that name it.
   const ItemsByBin by_bin = items_by_bin(result);
@@ -65,7 +58,8 @@ ValidationReport validate_run(const Instance& instance,
     Time first_arrival = kInfTime;
     Time last_departure = -kInfTime;
     for (ItemId id : held) {
-      if (id < 0 || static_cast<std::size_t>(id) >= items.size()) continue;
+      // An entry past the last item was reported by check 1.
+      if (static_cast<std::size_t>(id) >= items.size()) continue;
       const Item& r = items[static_cast<std::size_t>(id)];
       load.add(r.arrival, r.departure, r.size);
       first_arrival = std::min(first_arrival, r.arrival);

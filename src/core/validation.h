@@ -25,8 +25,8 @@ struct ValidationReport {
 };
 
 /// Checks, from scratch (a bin's items are the placements naming it):
-///  1. every item of `instance` appears in exactly one placement, and
-///     every placement names a bin of `result.bins`;
+///  1. there is one placement per item of `instance` (entry i is item
+///     i's bin), and every placement names a bin of `result.bins`;
 ///  2. no bin's load ever exceeds capacity (profile rebuilt from items);
 ///  3. each recorded bin span equals the span of the union of its items'
 ///     intervals (bins close when empty, never reused);

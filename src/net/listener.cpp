@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -18,6 +19,11 @@
 namespace cdbp::net {
 
 namespace {
+
+/// How long an event loop waits for readiness when it has nothing parked;
+/// also how long loop 0 stops watching the listening socket after the
+/// descriptor table ran out.
+constexpr std::chrono::milliseconds kIdleWait{50};
 
 // Listener-level obs mirrors, picked up by the stats exporter alongside the
 // serve.* counters. The plain-atomic ListenerCounters snapshot is the
@@ -129,6 +135,9 @@ struct NetListener::Loop {
   /// closes it) and the loop the next accepted connection goes to.
   int listen_fd = -1;
   std::size_t next_loop = 0;
+  /// Loop 0 only: set while the listening socket's read interest is off
+  /// because accept ran out of descriptors; the time to turn it back on.
+  std::optional<std::chrono::steady_clock::time_point> accept_resume;
   std::atomic<bool> stop{false};
   /// Connections with unflushed output; recomputed each iteration once
   /// draining starts (initialized "unknown-nonzero" so drain() cannot
@@ -214,6 +223,15 @@ void NetListener::accept_ready(Loop& loop) {
     int err = 0;
     const int fd = env_.net_accept(loop.listen_fd, err);
     if (fd < 0) {
+      // Out of descriptors, the connection stays queued and level-triggered
+      // epoll would report the socket again at once: stop watching it for
+      // one idle wait (event_loop turns it back on), one error per pause.
+      if (err == EMFILE || err == ENFILE) {
+        loop.poller.modify(loop.listen_fd, false, false);
+        loop.accept_resume = std::chrono::steady_clock::now() + kIdleWait;
+        ctr_->accept_errors.fetch_add(1, std::memory_order_relaxed);
+        return;
+      }
       // EAGAIN (none left) and EINTR end this pass: level-triggered epoll
       // reports the socket again while a connection waits. ECONNABORTED
       // and friends (or an injected EIO) are counted and end it too; they
@@ -249,6 +267,7 @@ void NetListener::stop_accepting(Loop& loop) {
   loop.poller.remove(loop.listen_fd);
   env_.net_close(loop.listen_fd);
   loop.listen_fd = -1;
+  loop.accept_resume.reset();
 }
 
 void NetListener::event_loop(Loop& loop) {
@@ -272,7 +291,13 @@ void NetListener::event_loop(Loop& loop) {
     }
     for (auto& c : scratch) flush_conn(loop, c);
 
-    const int timeout_ms = loop.parked_conns.empty() ? 50 : 2;
+    if (loop.accept_resume &&
+        std::chrono::steady_clock::now() >= *loop.accept_resume) {
+      loop.poller.modify(loop.listen_fd, true, false);
+      loop.accept_resume.reset();
+    }
+    const int timeout_ms =
+        loop.parked_conns.empty() ? static_cast<int>(kIdleWait.count()) : 2;
     loop.poller.wait(events, timeout_ms);
     for (const PollEvent& e : events) {
       if (e.fd == loop.wake_r) {

@@ -133,7 +133,8 @@ Instance read_instance_csv(const std::string& path) {
 void write_timeline_csv(const RunResult& result, std::ostream& out) {
   CsvWriter csv(out);
   csv << "time,open_bins\n";
-  for (const auto& s : result.open_bins.samples())
+  // A finished run has no open bin, so no record is cut off at `now`.
+  for (const auto& s : open_bins_profile(result.bins, kInfTime).samples())
     csv << s.time << ',' << s.value << '\n';
   if (!csv.flush()) throw std::runtime_error("trace: write failed");
 }

@@ -21,7 +21,7 @@ TEST(AnyFit, FirstFitPrefersEarliestOpenBin) {
   });
   algos::FirstFit ff;
   const RunResult r = Simulator{}.run(in, ff);
-  EXPECT_EQ(r.placements[2].bin, 0);
+  EXPECT_EQ(r.placements[2], 0);
   EXPECT_EQ(r.bins_opened, 2u);
 }
 
@@ -33,7 +33,7 @@ TEST(AnyFit, BestFitPrefersFullestBin) {
   });
   algos::BestFit bf;
   const RunResult r = Simulator{}.run(in, bf);
-  EXPECT_EQ(r.placements[2].bin, 1);  // 0.6 is fuller than 0.3
+  EXPECT_EQ(r.placements[2], 1);  // 0.6 is fuller than 0.3
 }
 
 TEST(AnyFit, WorstFitPrefersEmptiestBin) {
@@ -44,7 +44,7 @@ TEST(AnyFit, WorstFitPrefersEmptiestBin) {
   });
   algos::WorstFit wf;
   const RunResult r = Simulator{}.run(in, wf);
-  EXPECT_EQ(r.placements[2].bin, 1);
+  EXPECT_EQ(r.placements[2], 1);
 }
 
 TEST(AnyFit, NextFitOnlyConsidersNewestBin) {
@@ -55,7 +55,7 @@ TEST(AnyFit, NextFitOnlyConsidersNewestBin) {
   });
   algos::NextFit nf;
   const RunResult r = Simulator{}.run(in, nf);
-  EXPECT_EQ(r.placements[2].bin, 2);
+  EXPECT_EQ(r.placements[2], 2);
   EXPECT_EQ(r.bins_opened, 3u);
 }
 
@@ -86,7 +86,7 @@ TEST(AnyFit, PlacementIgnoresDepartures) {
   const RunResult r2 = Simulator{}.run(in2, b);
   ASSERT_EQ(r1.placements.size(), r2.placements.size());
   for (std::size_t i = 0; i < r1.placements.size(); ++i)
-    EXPECT_EQ(r1.placements[i].bin, r2.placements[i].bin) << "item " << i;
+    EXPECT_EQ(r1.placements[i], r2.placements[i]) << "item " << i;
 }
 
 TEST(AnyFit, NamesAndRules) {

@@ -65,7 +65,7 @@ TEST(Cdff, DynamicRowMappingSharesTopRow) {
   Cdff cdff;
   const RunResult r = Simulator{}.run(in, cdff);
   EXPECT_EQ(r.bins_opened, 1u);
-  EXPECT_EQ(r.placements[0].bin, r.placements[1].bin);
+  EXPECT_EQ(r.placements[0], r.placements[1]);
 }
 
 TEST(Cdff, FirstFitWithinRow) {
@@ -77,7 +77,7 @@ TEST(Cdff, FirstFitWithinRow) {
   Cdff cdff;
   const RunResult r = Simulator{}.run(in, cdff);
   EXPECT_EQ(r.bins_opened, 2u);
-  EXPECT_EQ(r.placements[2].bin, r.placements[0].bin);
+  EXPECT_EQ(r.placements[2], r.placements[0]);
 }
 
 TEST(Cdff, SegmentationSplitsDisjointBlocks) {

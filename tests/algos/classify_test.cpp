@@ -45,9 +45,9 @@ TEST(Classify, DifferentClassesNeverShareBins) {
   algos::ClassifyByDuration cbd(2.0);
   const RunResult r = Simulator{}.run(in, cbd);
   EXPECT_EQ(r.bins_opened, 2u);
-  EXPECT_EQ(r.placements[0].bin, r.placements[2].bin);
-  EXPECT_EQ(r.placements[1].bin, r.placements[3].bin);
-  EXPECT_NE(r.placements[0].bin, r.placements[1].bin);
+  EXPECT_EQ(r.placements[0], r.placements[2]);
+  EXPECT_EQ(r.placements[1], r.placements[3]);
+  EXPECT_NE(r.placements[0], r.placements[1]);
   EXPECT_TRUE(validate_run(in, r).ok());
 }
 
@@ -59,7 +59,7 @@ TEST(Classify, FirstFitWithinClass) {
   });
   algos::ClassifyByDuration cbd(2.0);
   const RunResult r = Simulator{}.run(in, cbd);
-  EXPECT_EQ(r.placements[2].bin, r.placements[0].bin);
+  EXPECT_EQ(r.placements[2], r.placements[0]);
 }
 
 TEST(Classify, ClosedClassBinsForgotten) {

@@ -35,7 +35,7 @@ TEST(DurationAware, PrefersBinWhoseHorizonCoversTheItem) {
   });
   DurationAwareFit dfit;
   const RunResult r = Simulator{}.run(in, dfit);
-  EXPECT_EQ(r.placements[2].bin, r.placements[0].bin);
+  EXPECT_EQ(r.placements[2], r.placements[0]);
   EXPECT_TRUE(validate_run(in, r).ok());
 }
 
@@ -49,7 +49,7 @@ TEST(DurationAware, MinExtensionPicksCheapestExtension) {
   });
   DurationAwareFit dfit;
   const RunResult r = Simulator{}.run(in, dfit);
-  EXPECT_EQ(r.placements[2].bin, 1);
+  EXPECT_EQ(r.placements[2], 1);
 }
 
 TEST(DurationAware, OpensNewBinWhenCheaper) {
@@ -82,12 +82,12 @@ TEST(DurationAware, NoExtensionFirstPrefersFullestCoveredBin) {
   });
   DurationAwareFit ne(DurationPolicy::kNoExtensionFirst);
   const RunResult r = Simulator{}.run(in, ne);
-  EXPECT_EQ(r.placements[2].bin, 1);
+  EXPECT_EQ(r.placements[2], 1);
 
   // MinExtension (tie at cost 0) keeps the earliest-opened bin instead.
   DurationAwareFit me(DurationPolicy::kMinExtension);
   const RunResult r2 = Simulator{}.run(in, me);
-  EXPECT_EQ(r2.placements[2].bin, 0);
+  EXPECT_EQ(r2.placements[2], 0);
 }
 
 TEST(DurationAware, HorizonTracksDepartures) {

@@ -41,8 +41,8 @@ TEST(Harmonic, ClassesNeverShareBins) {
   HarmonicFit h(4);
   const RunResult r = Simulator{}.run(in, h);
   EXPECT_EQ(r.bins_opened, 3u);
-  EXPECT_NE(r.placements[0].bin, r.placements[1].bin);
-  EXPECT_NE(r.placements[1].bin, r.placements[2].bin);
+  EXPECT_NE(r.placements[0], r.placements[1]);
+  EXPECT_NE(r.placements[1], r.placements[2]);
   EXPECT_TRUE(validate_run(in, r).ok());
 }
 
@@ -54,7 +54,7 @@ TEST(Harmonic, ClassKBinsHoldKItems) {
   HarmonicFit h(4);
   const RunResult r = Simulator{}.run(in, h);
   EXPECT_EQ(r.bins_opened, 2u);
-  EXPECT_EQ(r.placements[0].bin, r.placements[1].bin);
+  EXPECT_EQ(r.placements[0], r.placements[1]);
 }
 
 TEST(Harmonic, BinGroupEncodesClass) {

@@ -56,9 +56,9 @@ TEST(Hybrid, AccumulatedTypeLoadTriggersSwitch) {
   EXPECT_EQ(r.bins[0].group, kHybridGroupGN);
   EXPECT_EQ(r.bins[1].group, kHybridGroupCD);
   ASSERT_EQ(r.placements.size(), 3u);
-  EXPECT_EQ(r.placements[0].bin, 0);
-  EXPECT_EQ(r.placements[1].bin, 0);
-  EXPECT_EQ(r.placements[2].bin, 1);
+  EXPECT_EQ(r.placements[0], 0);
+  EXPECT_EQ(r.placements[1], 0);
+  EXPECT_EQ(r.placements[2], 1);
 }
 
 TEST(Hybrid, OnceCdExistsTypeStaysCd) {
@@ -72,7 +72,7 @@ TEST(Hybrid, OnceCdExistsTypeStaysCd) {
   Hybrid ha;
   const RunResult r = Simulator{}.run(in, ha);
   ASSERT_EQ(r.bins.size(), 2u);
-  EXPECT_EQ(r.placements[1].bin, r.placements[2].bin);
+  EXPECT_EQ(r.placements[1], r.placements[2]);
   EXPECT_EQ(r.bins[1].group, kHybridGroupCD);
 }
 
@@ -87,7 +87,7 @@ TEST(Hybrid, CdBinsAreTypePrivate) {
   Hybrid ha;
   const RunResult r = Simulator{}.run(in, ha);
   ASSERT_EQ(r.bins.size(), 3u);
-  EXPECT_NE(r.placements[0].bin, r.placements[2].bin);
+  EXPECT_NE(r.placements[0], r.placements[2]);
 }
 
 TEST(Hybrid, DepartureReleasesTypeLoad) {
@@ -101,7 +101,7 @@ TEST(Hybrid, DepartureReleasesTypeLoad) {
   Hybrid ha;
   const RunResult r = Simulator{}.run(in, ha);
   ASSERT_EQ(r.bins.size(), 3u);
-  EXPECT_EQ(r.bins[static_cast<std::size_t>(r.placements[2].bin)].group,
+  EXPECT_EQ(r.bins[static_cast<std::size_t>(r.placements[2])].group,
             kHybridGroupGN);
 }
 
@@ -115,7 +115,7 @@ TEST(Hybrid, CdOverflowOpensSecondCdBin) {
   Hybrid ha;
   const RunResult r = Simulator{}.run(in, ha);
   ASSERT_EQ(r.bins.size(), 2u);
-  EXPECT_EQ(r.placements[2].bin, r.placements[0].bin);
+  EXPECT_EQ(r.placements[2], r.placements[0]);
   EXPECT_EQ(r.bins[0].group, kHybridGroupCD);
   EXPECT_EQ(r.bins[1].group, kHybridGroupCD);
 }

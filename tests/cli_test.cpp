@@ -637,6 +637,28 @@ TEST(Cli, PackInstanceRoundTripsThroughBinary) {
   std::remove(back.c_str());
 }
 
+TEST(Cli, InstanceCommandsReadEitherFormat) {
+  // Every command that reads an instance takes a .cdbpi as well as a CSV,
+  // and prints the same for both.
+  const std::string csv = temp_file("cdbp_cli_either.csv");
+  const std::string packed = temp_file("cdbp_cli_either.cdbpi");
+  ASSERT_EQ(cli({"generate", "--kind", "general", "--n", "4", "--items",
+                 "40", "--out", csv})
+                .code,
+            0);
+  ASSERT_EQ(cli({"pack-instance", "--in", csv, "--out", packed}).code, 0);
+  for (const std::string cmd : {"bounds", "stats", "compare"}) {
+    const CliRun from_csv = cli({cmd, "--in", csv});
+    const CliRun from_cdbpi = cli({cmd, "--in", packed});
+    EXPECT_EQ(from_csv.code, 0) << cmd << ": " << from_csv.err;
+    EXPECT_EQ(from_cdbpi.code, 0) << cmd << ": " << from_cdbpi.err;
+    EXPECT_FALSE(from_csv.out.empty()) << cmd;
+    EXPECT_EQ(from_cdbpi.out, from_csv.out) << cmd;
+  }
+  std::remove(csv.c_str());
+  std::remove(packed.c_str());
+}
+
 TEST(Cli, RunStreamMatchesInRamRun) {
   const std::string packed = temp_file("cdbp_cli_stream_run.cdbpi");
   ASSERT_EQ(cli({"generate", "--kind", "general", "--n", "5", "--items",

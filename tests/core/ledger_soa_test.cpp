@@ -219,8 +219,8 @@ TEST(LedgerSoa, ThroughputModeDropsItemLog) {
     const RunResult full =
         Simulator{{.keep_history = true, .storage = storage}}.run(in, ff);
     ASSERT_EQ(full.placements.size(), 2u);
-    EXPECT_EQ(full.placements[0].bin, 0);
-    EXPECT_EQ(full.placements[1].bin, 0);
+    EXPECT_EQ(full.placements[0], 0);
+    EXPECT_EQ(full.placements[1], 0);
     EXPECT_EQ(full.cost, lean.cost);
     // Checkpoints never carry that history, so they are the same bytes
     // with or without it.

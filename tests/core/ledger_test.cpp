@@ -169,11 +169,7 @@ TEST(Ledger, RecordHistoryKeepsAllItems) {
   algos::FirstFit ff;
   const RunResult r = Simulator{}.run(in, ff);
   ASSERT_EQ(r.bins.size(), 2u);
-  ASSERT_EQ(r.placements.size(), 2u);
-  EXPECT_EQ(r.placements[0].item, 0);
-  EXPECT_EQ(r.placements[0].bin, b);
-  EXPECT_EQ(r.placements[1].item, 1);
-  EXPECT_EQ(r.placements[1].bin, b2);
+  EXPECT_EQ(r.placements, (std::vector<BinId>{b, b2}));
   const ItemsByBin by_bin = items_by_bin(r);
   EXPECT_EQ(std::vector<ItemId>(by_bin.of(b).begin(), by_bin.of(b).end()),
             std::vector<ItemId>{0});

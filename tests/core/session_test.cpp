@@ -229,7 +229,7 @@ void check_session_matches_simulator(const testutil::NamedFactory& factory,
   for (std::size_t i = 0; i < instance.size(); ++i) {
     const Item& it = instance[i];
     ASSERT_EQ(session.offer(it.arrival, it.departure, it.size),
-              batch.placements[i].bin)
+              batch.placements[i])
         << factory.name << ": placement diverged at item " << i;
   }
   EXPECT_EQ(session.finish(), batch.cost)
@@ -262,14 +262,14 @@ TEST(InteractiveSession, DepartureAtArrivalInstantIsDrainedFirst) {
     SimulatorOptions opts;
     opts.keep_history = true;
     const RunResult batch = Simulator{opts}.run(in, *algo);
-    EXPECT_NE(batch.placements[1].bin, batch.placements[0].bin)
+    EXPECT_NE(batch.placements[1], batch.placements[0])
         << factory.name << ": a closed bin must not be reused";
 
     const AlgorithmPtr live = factory.make();
     InteractiveSession session(*live);
     const BinId first = session.offer(0.0, 4.0, 0.6);
     const BinId second = session.offer(4.0, 8.0, 0.6);
-    EXPECT_EQ(second, batch.placements[1].bin) << factory.name;
+    EXPECT_EQ(second, batch.placements[1]) << factory.name;
     EXPECT_NE(second, first) << factory.name;
     EXPECT_EQ(session.open_bins(), 1u)
         << factory.name << ": the t=4 departure was not drained first";

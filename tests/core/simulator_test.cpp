@@ -52,7 +52,7 @@ TEST(Simulator, SameInstantDepartureFreesCapacityForArrival) {
   const RunResult r = Simulator{}.run(in, ff);
   EXPECT_EQ(r.bins_opened, 1u);
   ASSERT_EQ(r.placements.size(), 3u);
-  EXPECT_EQ(r.placements[2].bin, 0);
+  EXPECT_EQ(r.placements[2], 0);
   EXPECT_TRUE(validate_run(in, r).ok());
 }
 
@@ -63,8 +63,8 @@ TEST(Simulator, SameTimeArrivalsPresentedInInstanceOrder) {
   algos::FirstFit ff;
   const RunResult r = Simulator{}.run(in, ff);
   ASSERT_EQ(r.placements.size(), 2u);
-  EXPECT_EQ(r.placements[0].bin, 0);
-  EXPECT_EQ(r.placements[1].bin, 1);
+  EXPECT_EQ(r.placements[0], 0);
+  EXPECT_EQ(r.placements[1], 1);
 }
 
 TEST(Simulator, CostEqualsOpenBinsIntegral) {
@@ -75,7 +75,7 @@ TEST(Simulator, CostEqualsOpenBinsIntegral) {
   });
   algos::FirstFit ff;
   const RunResult r = Simulator{}.run(in, ff);
-  EXPECT_NEAR(r.cost, r.open_bins.integral(), 1e-9);
+  EXPECT_NEAR(r.cost, open_bins_profile(r.bins, kInfTime).integral(), 1e-9);
   EXPECT_TRUE(validate_run(in, r).ok());
 }
 
@@ -118,16 +118,13 @@ TEST(Simulator, RunSourceRejectsAGapInItemIds) {
   ListSource dense({{0, 0.0, 1.0, 0.5}, {1, 0.5, 1.5, 0.25}});
   algos::FirstFit ff;
   const RunResult r = Simulator{}.run_source(dense, ff);
-  ASSERT_EQ(r.placements.size(), 2u);
-  EXPECT_EQ(r.placements[0].item, 0);
-  EXPECT_EQ(r.placements[1].item, 1);
-  EXPECT_EQ(r.placements[1].bin, 0);
+  EXPECT_EQ(r.placements, (std::vector<BinId>{0, 0}));
 }
 
 TEST(Simulator, ItemsByBinIsStableAndSkipsUnknownBins) {
   RunResult r;
   r.bins.resize(2);
-  r.placements = {{0, 1}, {1, 0}, {2, 1}, {3, 5}, {4, kNoBin}, {5, 1}};
+  r.placements = {1, 0, 1, 5, kNoBin, 1};
   const ItemsByBin by_bin = items_by_bin(r);
   const auto items_of = [&](BinId b) {
     return std::vector<ItemId>(by_bin.of(b).begin(), by_bin.of(b).end());

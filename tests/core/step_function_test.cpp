@@ -1,11 +1,117 @@
 #include "core/step_function.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iomanip>
+#include <map>
+#include <random>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 namespace cdbp {
 namespace {
+
+::testing::AssertionResult same_bits(double got, double want) {
+  if (std::bit_cast<std::uint64_t>(got) == std::bit_cast<std::uint64_t>(want))
+    return ::testing::AssertionSuccess();
+  std::ostringstream os;
+  os << std::setprecision(17) << got << " vs map " << want;
+  return ::testing::AssertionFailure() << os.str();
+}
+
+/// The representation StepFunction's header says it matches: one map entry
+/// per breakpoint, each delta summed into it in insertion order, values
+/// summed in ascending time order.
+class MapStep {
+ public:
+  void add(Time from, Time to, double value) {
+    if (!(from < to) || value == 0.0) return;
+    deltas_[from] += value;
+    deltas_[to] += -value;
+  }
+
+  [[nodiscard]] std::vector<StepFunction::Sample> samples() const {
+    std::vector<StepFunction::Sample> out;
+    double value = 0.0;
+    for (const auto& [time, delta] : deltas_) {
+      value += delta;
+      out.push_back({time, value});
+    }
+    return out;
+  }
+
+  [[nodiscard]] double at(Time t) const {
+    double value = 0.0;
+    for (const StepFunction::Sample& s : samples())
+      if (s.time <= t) value = s.value;
+    return value;
+  }
+
+  [[nodiscard]] double integral() const {
+    const auto s = samples();
+    double acc = 0.0;
+    for (std::size_t k = 1; k < s.size(); ++k)
+      acc += s[k - 1].value * (s[k].time - s[k - 1].time);
+    return acc;
+  }
+
+  [[nodiscard]] double ceil_integral() const {
+    const auto s = samples();
+    double acc = 0.0;
+    for (std::size_t k = 1; k < s.size(); ++k)
+      if (s[k - 1].value > kLoadEps)
+        acc += std::ceil(s[k - 1].value - kLoadEps) *
+               (s[k].time - s[k - 1].time);
+    return acc;
+  }
+
+  [[nodiscard]] double support_measure() const {
+    const auto s = samples();
+    double acc = 0.0;
+    for (std::size_t k = 1; k < s.size(); ++k)
+      if (s[k - 1].value > kLoadEps) acc += s[k].time - s[k - 1].time;
+    return acc;
+  }
+
+  [[nodiscard]] double max_value() const {
+    double best = 0.0;
+    for (const StepFunction::Sample& s : samples())
+      best = std::max(best, s.value);
+    return best;
+  }
+
+ private:
+  std::map<Time, double> deltas_;
+};
+
+/// Every query of `f` against the map reference, bit for bit, at every
+/// breakpoint, just left of it, and at a few random points.
+void expect_matches(const StepFunction& f, const MapStep& ref,
+                    std::mt19937_64& rng) {
+  const auto got = f.samples();
+  const auto want = ref.samples();
+  ASSERT_EQ(got.size(), want.size());
+  std::vector<Time> probes;
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_TRUE(same_bits(got[k].time, want[k].time)) << "sample " << k;
+    EXPECT_TRUE(same_bits(got[k].value, want[k].value)) << "sample " << k;
+    probes.push_back(want[k].time);
+    probes.push_back(std::nextafter(want[k].time, -kInfTime));
+  }
+  std::uniform_real_distribution<double> anywhere(-1.0, 21.0);
+  for (int i = 0; i < 4; ++i) probes.push_back(anywhere(rng));
+  for (const Time t : probes)
+    EXPECT_TRUE(same_bits(f.at(t), ref.at(t))) << "at(" << t << ")";
+  EXPECT_TRUE(same_bits(f.integral(), ref.integral()));
+  EXPECT_TRUE(same_bits(f.ceil_integral(), ref.ceil_integral()));
+  EXPECT_TRUE(same_bits(f.support_measure(), ref.support_measure()));
+  EXPECT_TRUE(same_bits(f.max_value(), ref.max_value()));
+}
 
 TEST(StepFunction, EmptyFunctionIsZeroEverywhere) {
   StepFunction f;
@@ -14,7 +120,7 @@ TEST(StepFunction, EmptyFunctionIsZeroEverywhere) {
   EXPECT_DOUBLE_EQ(f.ceil_integral(), 0.0);
   EXPECT_DOUBLE_EQ(f.max_value(), 0.0);
   EXPECT_DOUBLE_EQ(f.support_measure(), 0.0);
-  EXPECT_EQ(f.breakpoint_count(), 0u);
+  EXPECT_TRUE(f.samples().empty());
 }
 
 TEST(StepFunction, SingleIntervalBasics) {
@@ -68,7 +174,7 @@ TEST(StepFunction, ZeroLengthAndZeroValueAddsIgnored) {
   f.add(1.0, 1.0, 5.0);
   f.add(2.0, 1.0, 5.0);
   f.add(1.0, 2.0, 0.0);
-  EXPECT_EQ(f.breakpoint_count(), 0u);
+  EXPECT_TRUE(f.samples().empty());
 }
 
 TEST(StepFunction, SamplesReportRightOpenValues) {
@@ -83,24 +189,6 @@ TEST(StepFunction, SamplesReportRightOpenValues) {
   EXPECT_DOUBLE_EQ(samples[1].value, 2.0);
   EXPECT_DOUBLE_EQ(samples[2].time, 3.0);
   EXPECT_DOUBLE_EQ(samples[2].value, 0.0);
-}
-
-TEST(StepFunction, SumOperator) {
-  StepFunction f, g;
-  f.add(0.0, 2.0, 1.0);
-  g.add(1.0, 3.0, 2.0);
-  const StepFunction h = f + g;
-  EXPECT_DOUBLE_EQ(h.at(0.5), 1.0);
-  EXPECT_DOUBLE_EQ(h.at(1.5), 3.0);
-  EXPECT_DOUBLE_EQ(h.at(2.5), 2.0);
-  EXPECT_DOUBLE_EQ(h.integral(), f.integral() + g.integral());
-}
-
-TEST(StepFunction, MinMaxBreakpoints) {
-  StepFunction f;
-  f.add(-2.0, 5.0, 1.0);
-  EXPECT_DOUBLE_EQ(f.min_breakpoint(), -2.0);
-  EXPECT_DOUBLE_EQ(f.max_breakpoint(), 5.0);
 }
 
 TEST(StepFunction, AdjacentIntervalsMergeInSupport) {
@@ -173,7 +261,34 @@ TEST(StepFunction, QueryIsLogarithmicNotLinear) {
     acc += f.at(static_cast<double>(q % n) + 0.25);
   // Every probed point is covered by 1 or 2 intervals.
   EXPECT_GE(acc, static_cast<double>(n));
-  EXPECT_EQ(f.breakpoint_count(), 2u * n);
+  EXPECT_EQ(f.samples().size(), 2u * n);
+}
+
+TEST(StepFunction, RandomAddsAndQueriesMatchMapReference) {
+  // Rounds of adds on a coarse time grid (so endpoints coincide), some of
+  // zero length, some negative, each round followed by every query: round
+  // 0's queries sort the adds in place, later rounds' merge new adds into
+  // the breakpoints.
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    std::uniform_int_distribution<int> adds(1, 30), grid(0, 80), length(0, 12);
+    std::uniform_real_distribution<double> magnitude(0.01, 1.5);
+    std::bernoulli_distribution negative(0.3);
+    StepFunction f;
+    MapStep ref;
+    for (int round = 0; round < 4; ++round) {
+      for (int n = adds(rng); n > 0; --n) {
+        const Time from = grid(rng) * 0.25;
+        const Time to = from + length(rng) * 0.25;
+        const double value = negative(rng) ? -magnitude(rng) : magnitude(rng);
+        f.add(from, to, value);
+        ref.add(from, to, value);
+      }
+      expect_matches(f, ref, rng);
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
 }
 
 TEST(StepFunction, ManyIntervalsIntegralMatchesClosedForm) {

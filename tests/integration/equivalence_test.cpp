@@ -52,7 +52,7 @@ TEST_P(SessionEquivalence, SimulatorAndSessionAgreeForEveryAlgorithm) {
     EXPECT_NEAR(batch.cost, live_cost, 1e-9) << f.name;
     ASSERT_EQ(batch.placements.size(), live_bins.size()) << f.name;
     for (std::size_t k = 0; k < live_bins.size(); ++k)
-      EXPECT_EQ(batch.placements[k].bin, live_bins[k])
+      EXPECT_EQ(batch.placements[k], live_bins[k])
           << f.name << " item " << k;
   }
 }
@@ -109,7 +109,7 @@ void expect_index_matches_scan(const Instance& in,
     EXPECT_EQ(with_oracle.cost, without.cost);
     ASSERT_EQ(with_oracle.placements.size(), without.placements.size());
     for (std::size_t k = 0; k < without.placements.size(); ++k)
-      ASSERT_EQ(with_oracle.placements[k].bin, without.placements[k].bin)
+      ASSERT_EQ(with_oracle.placements[k], without.placements[k])
           << "item " << k;
   }
 }
@@ -180,7 +180,7 @@ void expect_same_storage_run(const Instance& in,
   EXPECT_EQ(ref.max_open, soa.max_open) << f.name;
   ASSERT_EQ(ref.placements.size(), soa.placements.size()) << f.name;
   for (std::size_t k = 0; k < ref.placements.size(); ++k)
-    ASSERT_EQ(ref.placements[k].bin, soa.placements[k].bin)
+    ASSERT_EQ(ref.placements[k], soa.placements[k])
         << f.name << " item " << k;
   ASSERT_EQ(ref.bins.size(), soa.bins.size()) << f.name;
   for (std::size_t b = 0; b < ref.bins.size(); ++b) {

@@ -61,9 +61,7 @@ std::uint32_t crc_of(const std::vector<T>& v) {
 Pin run_pin(const Instance& in, const std::string& algo) {
   const AlgorithmPtr a = cli::make_algorithm(algo, in.mu());
   const RunResult r = Simulator{}.run(in, *a);
-  std::vector<std::int64_t> bins;
-  for (const PlacementRecord& p : r.placements) bins.push_back(p.bin);
-  return {std::bit_cast<std::uint64_t>(r.cost), crc_of(bins)};
+  return {std::bit_cast<std::uint64_t>(r.cost), crc_of(r.placements)};
 }
 
 /// The pin as a C++ initializer, so a failure message can be pasted back.

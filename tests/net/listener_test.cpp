@@ -369,6 +369,66 @@ TEST_F(NetListenerTest, FailedStartReleasesEveryDescriptor) {
   EXPECT_EQ(free_after, kGivenBack);
 }
 
+// At the descriptor limit the listener stops watching its socket for a
+// wait period instead of spinning on EMFILE, and accepts the queued client
+// once descriptors are free again.
+TEST_F(NetListenerTest, DescriptorExhaustionPausesAccepting) {
+  using namespace std::chrono_literals;
+  start(1);
+  // One whole connection first, so that nothing on the accept and HELLO
+  // paths meets a type (UBSan's vptr pipe) only once the table is full. It
+  // stays open: a close on the server side would free a descriptor.
+  RawConn warm(listener_->port());
+  warm.send_magic();
+  warm.hello("warm");
+  ASSERT_TRUE(warm.recv_response().has_value());
+  const std::uint64_t errors_before = listener_->counters().accept_errors;
+  ::rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  ::rlimit low = saved;
+  low.rlim_cur = std::min<rlim_t>(saved.rlim_cur, 4096);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+  // Take every free descriptor but one; the client's socket takes that
+  // one, so the listener's accept finds none.
+  std::vector<int> taken;
+  for (int fd = 0; (fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC)) >= 0;)
+    taken.push_back(fd);
+  const int fill_errno = errno;
+  std::uint64_t first_error = errors_before;
+  std::uint64_t errors_at_limit = 0;
+  std::optional<Response> ack;
+  if (!taken.empty()) {
+    ::close(taken.back());
+    taken.pop_back();
+    RawConn conn(listener_->port());
+    conn.send_magic();
+    conn.hello("t0");
+    // From the first refused accept, count the errors over 300 ms.
+    const auto deadline = std::chrono::steady_clock::now() + 5s;
+    while (first_error == errors_before &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(5ms);
+      first_error = listener_->counters().accept_errors;
+    }
+    std::this_thread::sleep_for(300ms);
+    errors_at_limit = listener_->counters().accept_errors - first_error;
+    for (const int fd : taken) ::close(fd);
+    taken.clear();
+    ack = conn.recv_response();
+  }
+  for (const int fd : taken) ::close(fd);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ASSERT_EQ(fill_errno, EMFILE);
+  EXPECT_GT(first_error, errors_before) << "accept never ran out";
+  // One error per 50 ms pause, about 6 in 300 ms; an accept loop that
+  // spins counts hundreds of thousands.
+  EXPECT_LT(errors_at_limit, 10u);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->type, MsgType::kAck);
+  EXPECT_EQ(ack->ack, AckStatus::kHello);
+  finish();
+}
+
 TEST_F(NetListenerTest, BadMagicGetsTypedErrorThenClose) {
   start(1);
   RawConn conn(listener_->port());

@@ -149,7 +149,7 @@ TEST(Trace, TimelineOstreamOverloadMatchesFileOverload) {
   std::string line;
   ASSERT_TRUE(std::getline(parse, line));
   EXPECT_EQ(line, "time,open_bins");
-  const auto& samples = r.open_bins.samples();
+  const auto samples = open_bins_profile(r.bins, kInfTime).samples();
   std::size_t k = 0;
   while (std::getline(parse, line)) {
     const auto comma = line.find(',');
