@@ -928,9 +928,9 @@ int cmd_serve(Flags& flags, std::ostream& out, std::ostream& err) {
         << " skipped=" << c.offers_skipped
         << " failed=" << c.offers_failed << "\n";
   } else {
+    // Each row is served as it is parsed: the feed never holds the file.
+    serve::StreamCsvReader rows(in_path);
     serve::ShardRouter& router = file_router.emplace(rc, make_algo, algo_name);
-    const std::vector<serve::ServeRequest> stream =
-        serve::read_stream_csv(in_path);
     // The router keeps no placements; --out gathers them from the acks.
     if (out_path)
       router.set_on_ack(
@@ -940,16 +940,16 @@ int cmd_serve(Flags& flags, std::ostream& out, std::ostream& err) {
             placements.push_back(r);
           });
     install_shutdown_handlers();
-    for (const serve::ServeRequest& req : stream) {
-      if (g_shutdown != 0) break;
-      if (!router.submit(req)) ++rejected;
+    // A malformed row throws out of this loop; the router's destructor
+    // still stops it, which commits and acks every row before that one.
+    for (serve::ServeRequest req; g_shutdown == 0 && rows.next(req);) {
+      if (!router.submit(std::move(req))) ++rejected;
       ++submitted;
     }
     interrupted = g_shutdown != 0;
     router.stop();
     if (interrupted)
-      out << "interrupted: submitted " << submitted << " of "
-          << stream.size() << " requests\n";
+      out << "interrupted: submitted " << submitted << " requests\n";
   }
 #ifndef CDBP_OBS_OFF
   if (stats) stats->stop();  // final page covers the run's tail

@@ -63,9 +63,24 @@ std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
 }
 
 void append_frame(std::string& out, std::string_view payload) {
-  put_le(out, payload.size(), 4);
-  put_le(out, crc32(payload.data(), payload.size()), 4);
+  const std::size_t frame = begin_frame(out);
   out.append(payload);
+  seal_frame(out, frame);
+}
+
+std::size_t begin_frame(std::string& out) {
+  const std::size_t frame = out.size();
+  out.append(kFrameHeaderBytes, '\0');
+  return frame;
+}
+
+void seal_frame(std::string& out, std::size_t frame) {
+  const char* payload = out.data() + frame + kFrameHeaderBytes;
+  const std::size_t len = out.size() - frame - kFrameHeaderBytes;
+  const std::uint64_t envelope = static_cast<std::uint32_t>(len) |
+                                 std::uint64_t{crc32(payload, len)} << 32;
+  for (std::size_t i = 0; i < kFrameHeaderBytes; ++i)
+    out[frame + i] = static_cast<char>(envelope >> (8 * i));
 }
 
 FrameDecoder::FrameDecoder(std::uint32_t max_payload)

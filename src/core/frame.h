@@ -41,6 +41,12 @@ inline constexpr std::size_t kReadBlockBytes = std::size_t{1} << 16;
 /// Appends `u32 len | u32 crc32(payload) | payload` to `out`.
 void append_frame(std::string& out, std::string_view payload);
 
+/// The same frame for a payload encoded straight into `out`: begin_frame
+/// reserves the envelope at the end of `out` and returns its offset, and
+/// seal_frame fills it in for everything appended after it.
+[[nodiscard]] std::size_t begin_frame(std::string& out);
+void seal_frame(std::string& out, std::size_t frame);
+
 enum class FrameStatus {
   kNeedMore,  ///< no complete frame buffered
   kFrame,     ///< one frame decoded

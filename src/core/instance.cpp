@@ -74,21 +74,20 @@ double Instance::total_demand() const {
 }
 
 double Instance::span() const {
-  // Measure of the union of intervals via sweep over sorted arrivals.
+  // Measure of the union of intervals, swept in place: finalize() left the
+  // items in arrival order, and among equal arrivals the order changes
+  // neither the components nor their sum.
   if (items_.empty()) return 0.0;
-  std::vector<std::pair<Time, Time>> iv;
-  iv.reserve(items_.size());
-  for (const Item& r : items_) iv.emplace_back(r.arrival, r.departure);
-  std::sort(iv.begin(), iv.end());
   double acc = 0.0;
-  Time cur_lo = iv[0].first, cur_hi = iv[0].second;
-  for (std::size_t i = 1; i < iv.size(); ++i) {
-    if (iv[i].first <= cur_hi) {
-      cur_hi = std::max(cur_hi, iv[i].second);
+  Time cur_lo = items_[0].arrival, cur_hi = items_[0].departure;
+  for (std::size_t i = 1; i < items_.size(); ++i) {
+    const Item& r = items_[i];
+    if (r.arrival <= cur_hi) {
+      cur_hi = std::max(cur_hi, r.departure);
     } else {
       acc += cur_hi - cur_lo;
-      cur_lo = iv[i].first;
-      cur_hi = iv[i].second;
+      cur_lo = r.arrival;
+      cur_hi = r.departure;
     }
   }
   acc += cur_hi - cur_lo;

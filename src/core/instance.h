@@ -51,7 +51,9 @@ class Instance {
   /// d(sigma) = sum of size * length.
   [[nodiscard]] double total_demand() const;
 
-  /// span(sigma) = measure of the union of all item intervals.
+  /// span(sigma) = measure of the union of all item intervals. Valid after
+  /// finalize() (every constructor and producer calls it): the sweep reads
+  /// the items in arrival order, without a copy.
   [[nodiscard]] double span() const;
 
   /// The load profile S_t(sigma) as a step function.

@@ -5,21 +5,24 @@
 //
 // Write path — offer_deferred() per offer, then commit():
 //   1. apply the offer to the in-memory session (algorithm decides a bin);
-//   2. append the framed record to the WAL (a write, no fsync);
+//   2. append the framed record to the WAL's buffer (no system call);
 //   3. every `checkpoint_every` offers, snapshot session + algorithm state
-//      to the checkpoint file (WAL fsynced first, so the checkpoint never
-//      claims records the log might not hold), then compact away WAL
-//      segments the checkpoint fully covers;
-//   4. commit(): under kEvery, one fsync (a group commit when a
-//      coordinator is configured) makes every record appended so far
-//      durable. Only then may any of those offers be acknowledged.
-// The shard worker runs 1-3 for a drained batch and 4 once for the batch;
-// offer() is the one-offer case, offer_deferred() followed by commit().
-// A crash before (4) returns loses only unacknowledged offers — exactly
-// the log-before-ack contract. If (2) or (4) FAILS (ENOSPC, fsync error),
-// the in-memory state has diverged from the durable log and the session
-// poisons itself: every further offer throws. Retrying would acknowledge
-// an offer the log may never hold (the Postgres fsync-gate lesson).
+//      to the checkpoint file (WAL written and fsynced first, so the
+//      checkpoint never claims records the log might not hold), then
+//      compact away WAL segments the checkpoint fully covers;
+//   4. commit(): one write(2) hands every record appended since the last
+//      commit to the kernel, and under kEvery one fsync (a group commit
+//      when a coordinator is configured) makes them durable. Only then may
+//      any of those offers be acknowledged.
+// The shard worker runs 1-3 for each offer it drained and 4 once for all
+// of them; offer() is the one-offer case, offer_deferred() followed by
+// commit(). A crash before (4) returns loses only unacknowledged offers —
+// exactly the log-before-ack contract. If a WAL write or fsync FAILS
+// (ENOSPC, EIO — at (4), or at a rotation or checkpoint in (2)/(3)), the
+// in-memory state has diverged from the durable log and the session
+// poisons itself: every further offer throws, and the failed batch is
+// never written again. Retrying would acknowledge an offer the log may
+// never hold (the Postgres fsync-gate lesson).
 //
 // Recovery path (resume=true) — two streamed passes over the segment
 // chain, each reading a segment through one fixed-size frame buffer, so
@@ -131,8 +134,9 @@ class DurableSession {
   BinId offer(Time arrival, Time departure, Load size,
               std::uint64_t stream_index, std::string_view tenant = {});
 
-  /// Makes every appended offer durable per the fsync policy (one group
-  /// commit under kEvery). A failure poisons the session and rethrows.
+  /// Writes every appended offer to the WAL (one write) and makes it
+  /// durable per the fsync policy (one group commit under kEvery). A
+  /// failure poisons the session and rethrows.
   void commit();
 
   /// Writes a checkpoint now, then compacts WAL segments it covers.
@@ -166,7 +170,7 @@ class DurableSession {
     const auto it = tenant_marks_.find(tenant);
     return it == tenant_marks_.end() ? 0 : it->second;
   }
-  /// True after a WAL append/sync failure: in-memory state and durable log
+  /// True after a WAL write/sync failure: in-memory state and durable log
   /// may disagree, so the session refuses all further offers.
   [[nodiscard]] bool failed() const noexcept { return failed_; }
   [[nodiscard]] const InteractiveSession& session() const noexcept {

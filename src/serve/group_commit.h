@@ -3,9 +3,10 @@
 //
 // Under FsyncPolicy::kEvery each offer must be durable before it is
 // acknowledged, which naively costs one fsync per record and makes the
-// safe mode disk-bound. Writers append their frames (plain write(2),
-// cheap), then call sync_and_wait(). There is no committer thread: the
-// caller runs the target's fsync itself, so distinct shard WALs fsync
+// safe mode disk-bound. Writers buffer their frames, then call
+// sync_and_wait(), whose sync_file() writes them with one write(2) and
+// fsyncs. There is no committer thread: the caller runs the target's
+// sync_file() itself, so distinct shard WALs fsync
 // concurrently on their own workers. A caller that finds an fsync of its
 // target already in flight waits for it, and then one follow-up fsync,
 // started by the first of them to wake, covers every waiter that arrived

@@ -6,41 +6,59 @@
 #include <stdexcept>
 #include <string_view>
 
-#include "trace/trace.h"
 #include "workloads/general_random.h"
 
 namespace cdbp::serve {
 
 constexpr std::string_view kHeader = "tenant,arrival,departure,size";
 
-std::vector<ServeRequest> read_stream_csv(std::istream& in) {
-  trace::CsvReader csv(in, "stream csv");
+StreamCsvReader::StreamCsvReader(const std::string& path)
+    : file_(path), csv_(file_, "stream csv") {
+  if (!file_)
+    throw std::runtime_error("stream csv: cannot open '" + path + "'");
+}
+
+StreamCsvReader::StreamCsvReader(std::istream& in) : csv_(in, "stream csv") {}
+
+bool StreamCsvReader::next(ServeRequest& req) {
+  bool more = csv_.next();
+  if (more && !started_ && csv_.row() == kHeader) more = csv_.next();
+  started_ = true;
+  if (!more) return false;
+  const std::vector<std::string_view>& fields = csv_.fields();
+  if (fields.size() != 4)
+    csv_.fail("expected 4 fields (tenant,arrival,departure,size)");
+  if (fields[0].empty()) csv_.fail("empty tenant");
+  req.arrival = csv_.number(1);
+  req.departure = csv_.number(2);
+  req.size = csv_.number(3);
+  if (rows_ > 0 && req.arrival < last_arrival_)
+    csv_.fail("arrivals out of order");
+  last_arrival_ = req.arrival;
+  req.tenant = fields[0];
+  req.stream_index = ++rows_;  // 1-based; 0 means "unknown"
+  req.admit_ns = 0;
+  return true;
+}
+
+namespace {
+
+std::vector<ServeRequest> read_all(StreamCsvReader& rows) {
   std::vector<ServeRequest> out;
-  bool more = csv.next();
-  if (more && csv.row() == kHeader) more = csv.next();
-  for (; more; more = csv.next()) {
-    const std::vector<std::string_view>& fields = csv.fields();
-    if (fields.size() != 4)
-      csv.fail("expected 4 fields (tenant,arrival,departure,size)");
-    if (fields[0].empty()) csv.fail("empty tenant");
-    ServeRequest req;
-    req.tenant = fields[0];
-    req.stream_index = out.size() + 1;  // 1-based; 0 means "unknown"
-    req.arrival = csv.number(1);
-    req.departure = csv.number(2);
-    req.size = csv.number(3);
-    if (!out.empty() && req.arrival < out.back().arrival)
-      csv.fail("arrivals out of order");
-    out.push_back(std::move(req));
-  }
+  for (ServeRequest req; rows.next(req);) out.push_back(std::move(req));
   return out;
 }
 
+}  // namespace
+
+std::vector<ServeRequest> read_stream_csv(std::istream& in) {
+  StreamCsvReader rows(in);
+  return read_all(rows);
+}
+
 std::vector<ServeRequest> read_stream_csv(const std::string& path) {
-  std::ifstream in(path);
-  if (!in)
-    throw std::runtime_error("stream csv: cannot open '" + path + "'");
-  return read_stream_csv(in);
+  StreamCsvReader rows(path);
+  return read_all(rows);
 }
 
 void write_stream_csv(const std::vector<ServeRequest>& stream,

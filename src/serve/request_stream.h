@@ -6,23 +6,46 @@
 //
 // The codec is trace/'s, shared with instance files. Rows must be sorted
 // by arrival (the service validates per-shard arrival monotonicity anyway;
-// the reader enforces global order so a shuffled file fails loudly at load
-// time, not as per-request rejects). stream_index is assigned 1-based in
-// row order — the resume path's de-duplication key.
+// the reader enforces global order so a shuffled file fails loudly at the
+// row that breaks it, not as per-request rejects). stream_index is
+// assigned 1-based in row order — the resume path's de-duplication key.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "serve/shard_router.h"
+#include "trace/trace.h"
 
 namespace cdbp::serve {
 
-/// Reads a stream CSV. The header row is optional. Throws
-/// std::runtime_error on I/O or parse failure (wrong field count, empty
-/// tenant, non-numeric fields, arrivals out of order), naming the line.
+/// Reads a stream CSV one row at a time, so a feed can serve each request
+/// as soon as it is parsed (`cdbp serve --in`). The header row is optional.
+class StreamCsvReader {
+ public:
+  /// Opens `path`; throws std::runtime_error if it cannot.
+  explicit StreamCsvReader(const std::string& path);
+  /// Reads `in`, which must outlive the reader.
+  explicit StreamCsvReader(std::istream& in);
+
+  /// Parses the next row into `req` (admit_ns 0). Returns false at the end
+  /// of the input. Throws std::runtime_error on I/O or parse failure (wrong
+  /// field count, empty tenant, non-numeric fields, arrivals out of
+  /// order), naming the line; the rows before it were already returned.
+  bool next(ServeRequest& req);
+
+ private:
+  std::ifstream file_;  ///< the path constructor's input
+  trace::CsvReader csv_;
+  bool started_ = false;  ///< a row has been read (the header may lead)
+  std::uint64_t rows_ = 0;
+  Time last_arrival_ = 0.0;
+};
+
+/// Reads a whole stream CSV through StreamCsvReader (same checks and
+/// errors).
 [[nodiscard]] std::vector<ServeRequest> read_stream_csv(
     const std::string& path);
 [[nodiscard]] std::vector<ServeRequest> read_stream_csv(std::istream& in);

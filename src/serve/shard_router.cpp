@@ -128,30 +128,15 @@ bool ShardRouter::RequestQueue::push(ServeRequest req,
   return true;
 }
 
-bool ShardRouter::RequestQueue::pop(ServeRequest& out) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-  if (items_.empty()) return false;  // closed and drained
-  out = std::move(items_.front());
-  items_.pop_front();
-  if (depth_) depth_->set(static_cast<double>(items_.size()));
-  not_full_.notify_one();
-  return true;
-}
-
 std::size_t ShardRouter::RequestQueue::pop_batch(
-    std::vector<ServeRequest>& out, std::size_t max) {
+    std::deque<ServeRequest>& out) {
+  out.clear();
   std::unique_lock<std::mutex> lock(mutex_);
   not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-  std::size_t n = 0;
-  while (n < max && !items_.empty()) {
-    out.push_back(std::move(items_.front()));
-    items_.pop_front();
-    ++n;
-  }
-  if (depth_) depth_->set(static_cast<double>(items_.size()));
-  if (n > 0) not_full_.notify_all();
-  return n;
+  out.swap(items_);
+  if (depth_) depth_->set(0.0);
+  if (!out.empty()) not_full_.notify_all();
+  return out.size();
 }
 
 void ShardRouter::RequestQueue::close() {
@@ -313,12 +298,11 @@ void ShardRouter::mark_degraded(Shard& shard, const std::string& reason) {
 }
 
 void ShardRouter::worker_loop(Shard& shard) {
-  // Drain in batches: every offer in a batch is appended with deferred
-  // durability, then ONE commit() covers them all, and only after it
-  // returns are the results recorded (the ack). kWorkerBatch bounds the
-  // work at risk between commits, not throughput — a slow disk simply
-  // yields fuller batches.
-  constexpr std::size_t kWorkerBatch = 256;
+  // Drain the whole queue: every offer drained is appended with deferred
+  // durability, then ONE commit() — one write(2), and one fsync under
+  // kEvery — covers them all, and only after it returns are the results
+  // recorded (the ack). The queue capacity bounds the work at risk between
+  // commits, not throughput — a slow disk simply yields fuller batches.
   const std::size_t idx = shard.stats.shard;
   ServeMetrics::ShardInstruments& ins = metrics_.shard(idx);
   obs::Tracer& tracer = obs::Tracer::global();
@@ -328,12 +312,17 @@ void ShardRouter::worker_loop(Shard& shard) {
                           const std::string& tenant, AckKind kind) {
     if (ack_cb) ack_cb(ServeResult{stream_index, tenant, idx, 0, kNoBin}, kind);
   };
-  std::vector<ServeRequest> batch;
-  std::vector<ServeResult> pending;
-  std::vector<std::uint64_t> pending_admit;
+  std::deque<ServeRequest> batch;
+  // Where each request the session placed sits in the batch, with its
+  // placement: acked from there once the commit returns.
+  struct Placed {
+    std::size_t index;
+    std::uint64_t seq;
+    BinId bin;
+  };
+  std::vector<Placed> placed;
   for (;;) {
-    batch.clear();
-    const std::size_t drained = shard.queue->pop_batch(batch, kWorkerBatch);
+    const std::size_t drained = shard.queue->pop_batch(batch);
     if (drained == 0) break;
     // Degraded: keep draining so kBlock producers that raced past the
     // front-door check never wedge on a full queue, but ack nothing —
@@ -351,13 +340,12 @@ void ShardRouter::worker_loop(Shard& shard) {
     // share the batch's drain/ack instants, which keeps the instrumented
     // hot path within the disabled-overhead budget (see bench_obs_overhead).
     const std::uint64_t drained_ns = mono_now_ns();
-    pending.clear();
-    pending_admit.clear();
+    placed.clear();
     const std::uint64_t skipped_before = shard.stats.skipped;
     const std::uint64_t invalid_before = shard.stats.invalid;
     // Index (not range) loop so the degrade path below knows exactly which
     // requests never reached the session: batch[processed..) plus
-    // everything appended-but-uncommitted in `pending`.
+    // everything appended-but-uncommitted in `placed`.
     std::size_t processed = 0;
     try {
     {
@@ -393,10 +381,7 @@ void ShardRouter::worker_loop(Shard& shard) {
           const BinId bin = shard.session->offer_deferred(
               req.arrival, req.departure, req.size, req.stream_index,
               req.tenant);
-          pending.push_back(ServeResult{req.stream_index,
-                                        std::move(req.tenant),
-                                        shard.stats.shard, seq, bin});
-          pending_admit.push_back(req.admit_ns);
+          placed.push_back(Placed{processed, seq, bin});
         } catch (const std::invalid_argument&) {
           ++shard.stats.invalid;  // bad request, not a shard failure
           notify(req.stream_index, req.tenant, AckKind::kInvalid);
@@ -407,7 +392,7 @@ void ShardRouter::worker_loop(Shard& shard) {
       obs::TraceSpan commit_span(
           tracer, "serve.commit", "serve",
           {{"shard", static_cast<std::uint64_t>(idx)},
-           {"batch", static_cast<std::uint64_t>(pending.size())}});
+           {"batch", static_cast<std::uint64_t>(placed.size())}});
       obs::ScopedTimer commit_timer(*ins.commit_us);
       shard.session->commit();
     }
@@ -425,11 +410,11 @@ void ShardRouter::worker_loop(Shard& shard) {
       shard.stats.degraded_dropped += dropped;
       g_degraded_dropped.add(dropped);
       // Terminal acks for everything the failure swallowed: appended but
-      // never committed (pending — tenants already moved in there), plus
-      // the thrower and everything after it (batch[processed..), tenants
-      // intact). Together they are exactly `dropped` requests.
-      for (const ServeResult& p : pending)
-        notify(p.stream_index, p.tenant, AckKind::kDropped);
+      // never committed (placed), plus the thrower and everything after it
+      // (batch[processed..)). Together they are exactly `dropped` requests.
+      for (const Placed& p : placed)
+        notify(batch[p.index].stream_index, batch[p.index].tenant,
+               AckKind::kDropped);
       for (std::size_t j = processed; j < batch.size(); ++j)
         notify(batch[j].stream_index, batch[j].tenant, AckKind::kDropped);
       continue;
@@ -441,20 +426,23 @@ void ShardRouter::worker_loop(Shard& shard) {
       obs::TraceSpan ack_span(
           tracer, "serve.ack", "serve",
           {{"shard", static_cast<std::uint64_t>(idx)},
-           {"batch", static_cast<std::uint64_t>(pending.size())}});
-      for (std::size_t i = 0; i < pending.size(); ++i) {
-        if (pending_admit[i] != 0 && ack_ns > pending_admit[i]) {
-          const std::uint64_t us = (ack_ns - pending_admit[i]) / 1000;
+           {"batch", static_cast<std::uint64_t>(placed.size())}});
+      for (const Placed& p : placed) {
+        ServeRequest& req = batch[p.index];
+        const ServeResult result{req.stream_index, std::move(req.tenant), idx,
+                                 p.seq, p.bin};
+        if (req.admit_ns != 0 && ack_ns > req.admit_ns) {
+          const std::uint64_t us = (ack_ns - req.admit_ns) / 1000;
           ins.ack_us->record(us);
-          metrics_.tenant_ack(pending[i].tenant).record(us);
+          metrics_.tenant_ack(result.tenant).record(us);
         }
-        if (pending[i].stream_index != 0)
-          tracer.flow_end("serve.offer", "serve", pending[i].stream_index,
+        if (result.stream_index != 0)
+          tracer.flow_end("serve.offer", "serve", result.stream_index,
                           {{"shard", static_cast<std::uint64_t>(idx)}});
-        if (ack_cb) ack_cb(pending[i], AckKind::kApplied);
+        if (ack_cb) ack_cb(result, AckKind::kApplied);
       }
     }
-    shard.stats.applied += pending.size();
+    shard.stats.applied += placed.size();
   }
   // Queue closed and drained: finalize. Costs/open-bin counts are part of
   // the stats contract, so compute them before the WAL handle goes away.

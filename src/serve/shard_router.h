@@ -23,12 +23,13 @@
 // shard with uncoordinated id spaces, and a shard-global mark would
 // silently skip one tenant's ids once another pushed a larger one.
 //
-// Durability batching: a worker drains its queue in batches (up to
-// kWorkerBatch requests), appends each offer with deferred durability,
-// then issues ONE commit() for the whole batch before acknowledging any
-// of it — so under fsync=every a busy shard pays one fsync per drained
-// batch, not one per offer, and shards run those fsyncs concurrently,
-// each on its own worker (GroupCommitCoordinator). An offer is never
+// Durability batching: a worker drains its whole queue at once, appends
+// each offer with deferred durability (into the WAL's buffer), then issues
+// ONE commit() for the batch before acknowledging any of it — so a busy
+// shard pays one write(2) and, under fsync=every, one fsync per drained
+// queue, not one per offer, and shards run those fsyncs concurrently,
+// each on its own worker (GroupCommitCoordinator). The queue capacity
+// bounds the work at risk between commits. An offer is never
 // acknowledged (kApplied through the ack callback) before its commit
 // returned.
 //
@@ -238,8 +239,8 @@ class ShardRouter {
 
  private:
   /// Bounded MPSC queue: producers are submit() callers, the consumer is
-  /// the shard's worker. close() wakes everyone; pop() returns false once
-  /// closed and empty.
+  /// the shard's worker. close() wakes everyone; pop_batch() returns 0
+  /// once closed and empty.
   class RequestQueue {
    public:
     /// `depth` (optional) tracks the live queue length; updated under the
@@ -254,10 +255,10 @@ class ShardRouter {
     /// the victim a terminal kDropped ack.
     bool push(ServeRequest req, AdmissionPolicy policy,
               std::optional<ServeRequest>* victim = nullptr);
-    bool pop(ServeRequest& out);
-    /// Blocks until at least one request (or close), then drains up to
-    /// `max` into `out`. Returns the number drained; 0 = closed + empty.
-    std::size_t pop_batch(std::vector<ServeRequest>& out, std::size_t max);
+    /// Blocks until at least one request (or close), then swaps every
+    /// queued request into `out` (emptied first). Returns the number
+    /// drained; 0 = closed + empty.
+    std::size_t pop_batch(std::deque<ServeRequest>& out);
     void close();
 
     [[nodiscard]] std::uint64_t shed_count() const;

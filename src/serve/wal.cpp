@@ -34,6 +34,13 @@ std::uint64_t read_u64_le(const char* p) {
   return load_u32_le(p) | std::uint64_t{load_u32_le(p + 4)} << 32;
 }
 
+void put_u64_le(std::string& out, std::uint64_t v) {
+  char bytes[8];
+  for (std::size_t i = 0; i < 8; ++i)
+    bytes[i] = static_cast<char>(v >> (8 * i));
+  out.append(bytes, sizeof(bytes));
+}
+
 // io::sync_file (EINTR-retrying) wrapped with the fsync metrics.
 void fsync_file(io::File& f, const std::string& path) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -81,9 +88,10 @@ WalWriter::WalWriter(std::string path, FsyncPolicy policy, bool truncate,
   if (size == 0) {
     StateWriter seq;
     seq.u64(base_seq);
-    append_frame(frame_, seq.buffer());
+    std::string header;
+    append_frame(header, seq.buffer());
     io::write_all(*file_, kWalMagic.data(), kWalMagic.size(), path_);
-    io::write_all(*file_, frame_.data(), frame_.size(), path_);
+    io::write_all(*file_, header.data(), header.size(), path_);
     bytes_ = kSegmentHeaderBytes;
     // An empty-but-created log must itself survive power loss under
     // kEvery, or recovery after a crash-before-first-append would see
@@ -107,35 +115,49 @@ WalWriter::~WalWriter() {
 
 void WalWriter::append(const WalRecord& rec) {
   if (!file_) throw std::logic_error("wal: append after close");
-  StateWriter payload;
-  payload.u8(kRecordOffer);
-  payload.u64(rec.seq);
-  payload.u64(rec.stream_index);
-  payload.f64(rec.arrival);
-  payload.f64(rec.departure);
-  payload.f64(rec.size);
-  payload.i64(rec.bin);
-  payload.str(rec.tenant);
-  frame_.clear();
-  append_frame(frame_, payload.buffer());
-
-  // On a hard write failure (e.g. ENOSPC after a short write) this throws
-  // with part of the frame on disk — a torn tail that recovery truncates.
-  io::write_all(*file_, frame_.data(), frame_.size(), path_);
-  bytes_ += frame_.size();
+  // The payload (see the file comment) is encoded in place, inside its
+  // frame at the buffer's end.
+  const std::size_t frame = begin_frame(pending_);
+  pending_.push_back(static_cast<char>(kRecordOffer));
+  put_u64_le(pending_, rec.seq);
+  put_u64_le(pending_, rec.stream_index);
+  put_u64_le(pending_, std::bit_cast<std::uint64_t>(rec.arrival));
+  put_u64_le(pending_, std::bit_cast<std::uint64_t>(rec.departure));
+  put_u64_le(pending_, std::bit_cast<std::uint64_t>(rec.size));
+  put_u64_le(pending_, static_cast<std::uint64_t>(rec.bin));
+  put_u64_le(pending_, rec.tenant.size());
+  pending_.append(rec.tenant);
+  seal_frame(pending_, frame);
+  bytes_ += pending_.size() - frame;
   ++appended_;
   ++unsynced_;
   g_appends.add();
 }
 
+void WalWriter::flush() {
+  if (pending_.empty()) return;
+  // On a hard write failure (e.g. ENOSPC after a short write) this throws
+  // with part of the batch on disk — a torn tail that recovery truncates.
+  // The batch is dropped either way, so no later flush writes it again.
+  try {
+    io::write_all(*file_, pending_.data(), pending_.size(), path_);
+  } catch (...) {
+    pending_.clear();
+    throw;
+  }
+  pending_.clear();
+}
+
 void WalWriter::sync() {
   if (!file_) return;
+  flush();
   fsync_file(*file_, path_);
   unsynced_ = 0;
 }
 
 void WalWriter::close() {
   if (!file_) return;
+  flush();
   if (policy_ == FsyncPolicy::kEvery && unsynced_ > 0) sync();
   int err = 0;
   const int rc = file_->close(err);

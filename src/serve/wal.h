@@ -47,14 +47,16 @@
 
 namespace cdbp::serve {
 
-/// When appended records are made durable. Appends never sync; the commit
-/// that follows them (SegmentedWal::commit) is the durability point.
-///  * kEvery  — every commit fsyncs before it returns, so a placement acked
-///              after its commit survives kill -9 and loss of the page
-///              cache. One fsync covers every record appended since the
-///              last one (a shard worker commits once per drained batch).
-///  * kNone   — never fsync; the OS flushes when it pleases (tests and
-///              benchmarks).
+/// When appended records are made durable. Appends only encode into the
+/// writer's buffer; the commit that follows them (SegmentedWal::commit) is
+/// the durability point, and it writes the whole buffer with one write(2).
+///  * kEvery  — every commit also fsyncs before it returns, so a placement
+///              acked after its commit survives kill -9 and loss of the
+///              page cache. One write and one fsync cover every record
+///              appended since the last commit (a shard worker commits once
+///              per drained queue).
+///  * kNone   — never fsync: a commit hands the records to the kernel,
+///              which flushes when it pleases (tests and benchmarks).
 enum class FsyncPolicy { kNone, kEvery };
 
 [[nodiscard]] std::string to_string(FsyncPolicy policy);
@@ -87,12 +89,17 @@ struct WalRecord {
 /// Append-side handle for one segment file. Not thread-safe: each
 /// shard's WAL is written and synced only by that shard's worker. Throws
 /// std::runtime_error on I/O failure.
+///
+/// append() only encodes into a pending buffer; flush() writes it with one
+/// write(2), and sync() and close() flush first. So a commit costs one
+/// write however many records it covers, and the file holds the same
+/// bytes as one write per record would leave.
 class WalWriter {
  public:
   /// Opens (creating if needed) `path`. `truncate` starts a fresh segment
   /// whose header carries `base_seq`; otherwise appends to the existing
   /// file (which must carry a valid header — recovery truncates torn tails
-  /// before reopening).
+  /// before reopening). A new header is written here, unbuffered.
   /// The policy decides only two fsyncs: under kEvery a newly created
   /// header is fsynced (file + parent directory) so an empty-but-created
   /// log survives power loss, and close() syncs an unsynced tail.
@@ -106,23 +113,33 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Writes one framed record. Never syncs: the record is durable only
-  /// after a later sync() (or close() under kEvery).
+  /// Encodes one framed record into the pending buffer. No system call:
+  /// the record reaches the file at the next flush(), sync() or close(),
+  /// and is durable only after a later sync() (or close() under kEvery).
   void append(const WalRecord& rec);
 
-  /// Forces an fsync now, whatever the policy and even with nothing
+  /// Writes the pending buffer with one write(2) (io::write_all). On a
+  /// failed write the buffer is dropped and the error rethrown: part of it
+  /// may be on disk as a torn tail that recovery truncates, and nothing
+  /// writes the rest later, close() included — the owner must poison
+  /// itself, as after a failed fsync.
+  void flush();
+
+  /// flush(), then an fsync now, whatever the policy and even with nothing
   /// unsynced (callers use this to seal a segment or to order a checkpoint
   /// after its WAL prefix).
   void sync();
 
-  /// Fsync (under kEvery, when anything is unsynced) + close. Idempotent;
-  /// the destructor calls it, swallowing errors.
+  /// flush(), fsync (under kEvery, when anything is unsynced), close.
+  /// Idempotent; the destructor calls it, swallowing errors.
   void close();
 
   [[nodiscard]] std::uint64_t appended() const noexcept { return appended_; }
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
-  /// Current file size in bytes (header + all appended frames).
+  /// File size in bytes once the pending buffer is written (header + all
+  /// appended frames).
   [[nodiscard]] std::uint64_t file_bytes() const noexcept { return bytes_; }
+  /// Records appended since the last sync(), written or still pending.
   [[nodiscard]] std::size_t unsynced() const noexcept { return unsynced_; }
 
  private:
@@ -133,7 +150,7 @@ class WalWriter {
   std::size_t unsynced_ = 0;
   std::uint64_t appended_ = 0;
   std::uint64_t bytes_ = 0;
-  std::string frame_;  ///< encode buffer, reused across appends
+  std::string pending_;  ///< encoded frames not yet written
 };
 
 /// Envelope sanity bound: no legitimate record is this large, so a length

@@ -412,8 +412,13 @@ void SegmentedWal::append(const WalRecord& rec) {
 }
 
 void SegmentedWal::commit() {
-  if (opts_.policy != FsyncPolicy::kEvery) return;
-  if (!writer_ || writer_->unsynced() == 0) return;
+  if (!writer_) return;
+  if (opts_.policy != FsyncPolicy::kEvery) {
+    writer_->flush();
+    return;
+  }
+  if (writer_->unsynced() == 0) return;
+  // sync_file() writes the buffered frames, then fsyncs them.
   if (opts_.group_commit != nullptr)
     opts_.group_commit->sync_and_wait(*this);
   else

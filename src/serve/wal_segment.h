@@ -135,8 +135,8 @@ std::uint64_t repair_segmented_wal(const std::string& base,
 /// Append-side handle over the segment chain. Not thread-safe (one shard
 /// worker).
 ///
-/// Write path: append() writes, commit() makes durable. An acknowledgement
-/// may only follow the commit() that covers its record.
+/// Write path: append() buffers, commit() writes and makes durable. An
+/// acknowledgement may only follow the commit() that covers its record.
 class SegmentedWal final : public WalSyncable {
  public:
   struct Options {
@@ -166,20 +166,21 @@ class SegmentedWal final : public WalSyncable {
   SegmentedWal(const SegmentedWal&) = delete;
   SegmentedWal& operator=(const SegmentedWal&) = delete;
 
-  /// Writes one record, rotating to a new segment first when the active
-  /// one is full. Never syncs (a rotation seals the old segment, though).
+  /// Buffers one record in the active segment's writer, rotating to a new
+  /// segment first when the active one is full. Makes no system call
+  /// unless it rotates (a rotation writes and seals the old segment).
   void append(const WalRecord& rec);
 
-  /// The durability point. Under kEvery it makes everything appended so
-  /// far durable with one fsync of the active segment (through the
-  /// group-commit coordinator when configured); under kNone it does
-  /// nothing. The shard worker calls this once per drained batch, then
-  /// acks the whole batch.
+  /// The durability point. It writes every record appended since the last
+  /// commit with one write(2) to the active segment; under kEvery it then
+  /// makes them durable with one fsync (through the group-commit
+  /// coordinator when configured). The shard worker calls this once per
+  /// drained queue, then acks everything it drained.
   void commit();
 
-  /// Unconditional direct fsync of the active segment, whatever the
-  /// policy. The group-commit coordinator calls it (WalSyncable), and so
-  /// does a checkpoint, to order the WAL before the checkpoint.
+  /// Unconditional direct write and fsync of the active segment, whatever
+  /// the policy. The group-commit coordinator calls it (WalSyncable), and
+  /// so does a checkpoint, to order the WAL before the checkpoint.
   void sync_file() override;
 
   /// Deletes sealed segments whose every record the checkpoint at

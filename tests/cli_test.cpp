@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "serve/request_stream.h"
 #include "serve/wal_segment.h"
 
 namespace cdbp::cli {
@@ -533,6 +534,81 @@ TEST(Cli, ServeResumeMatchesUninterruptedRun) {
   std::remove(half.c_str());
   fs::remove_all(ref_dir);
   fs::remove_all(crash_dir);
+}
+
+// `serve --in` serves each row as it parses it. A malformed row k ends the
+// feed with the reader's line-numbered error (exit 1) after rows 1..k-1
+// were served, committed and acked; a resume on the mended file then
+// matches an uninterrupted run.
+TEST(Cli, ServeFeedStopsAtAMalformedRowAfterServingTheRowsBefore) {
+  namespace fs = std::filesystem;
+  const std::string stream = temp_file("cdbp_cli_feed_stream.csv");
+  const std::string bad = temp_file("cdbp_cli_feed_bad.csv");
+  const fs::path ref_dir = fs::temp_directory_path() / "cdbp_cli_feed_ref";
+  const fs::path bad_dir = fs::temp_directory_path() / "cdbp_cli_feed_bad";
+  fs::remove_all(ref_dir);
+  fs::remove_all(bad_dir);
+  ASSERT_EQ(cli({"gen-stream", "--out", stream, "--items", "120", "--seed",
+                 "4"})
+                .code,
+            0);
+  constexpr int kBadRow = 50;  // line 51: the header is line 1
+  {
+    std::ifstream in(stream);
+    std::ofstream out(bad);
+    std::string line;
+    for (int i = 0; std::getline(in, line); ++i) {
+      if (i == kBadRow) line.replace(line.find(','), 1, ",x");
+      out << line << "\n";
+    }
+  }
+  std::string message;
+  try {
+    (void)serve::read_stream_csv(bad);
+  } catch (const std::runtime_error& e) {
+    message = e.what();
+  }
+  ASSERT_NE(message.find("on line 51"), std::string::npos) << message;
+
+  const auto serve_args = [](const std::string& in_path, const fs::path& dir) {
+    return std::vector<std::string>{"serve",   "--algo",     "ha",
+                                    "--in",    in_path,      "--wal-dir",
+                                    dir.string(), "--shards", "2",
+                                    "--fsync", "none"};
+  };
+  const auto recover = [](const fs::path& dir) {
+    return cli({"recover", "--algo", "ha", "--wal-dir", dir.string(),
+                "--shards", "2"});
+  };
+  const CliRun cut = cli(serve_args(bad, bad_dir));
+  EXPECT_EQ(cut.code, 1);
+  EXPECT_EQ(cut.err, "error: " + message + "\n");
+  const CliRun cut_state = recover(bad_dir);
+  ASSERT_EQ(cut_state.code, 0) << cut_state.err;
+  std::uint64_t records = 0;
+  std::istringstream lines(cut_state.out);
+  for (std::string line; std::getline(lines, line);) {
+    const std::size_t at = line.find(": records=");
+    if (line.rfind("shard ", 0) == 0 && at != std::string::npos)
+      records += std::stoull(line.substr(at + 10));
+  }
+  EXPECT_EQ(records, static_cast<std::uint64_t>(kBadRow - 1));
+
+  std::vector<std::string> resume = serve_args(stream, bad_dir);
+  resume.push_back("--resume");
+  const CliRun resumed = cli(resume);
+  ASSERT_EQ(resumed.code, 0) << resumed.err;
+  EXPECT_NE(resumed.out.find("skipped=49"), std::string::npos)
+      << resumed.out;
+  ASSERT_EQ(cli(serve_args(stream, ref_dir)).code, 0);
+  const CliRun ref_state = recover(ref_dir);
+  ASSERT_EQ(ref_state.code, 0) << ref_state.err;
+  EXPECT_EQ(recover(bad_dir).out, ref_state.out);
+
+  std::remove(stream.c_str());
+  std::remove(bad.c_str());
+  fs::remove_all(ref_dir);
+  fs::remove_all(bad_dir);
 }
 
 // The router keeps no placements; file-fed --out gathers them from the

@@ -1,5 +1,12 @@
 #include "core/instance.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "test_util.h"
@@ -8,6 +15,27 @@ namespace cdbp {
 namespace {
 
 using testutil::make_instance;
+
+/// The union measure by the copy-and-sort sweep span() used to run: every
+/// interval copied, the copies sorted by (arrival, departure), then swept.
+double span_by_copy_and_sort(const Instance& in) {
+  if (in.empty()) return 0.0;
+  std::vector<std::pair<Time, Time>> iv;
+  for (const Item& r : in.items()) iv.emplace_back(r.arrival, r.departure);
+  std::sort(iv.begin(), iv.end());
+  double acc = 0.0;
+  Time lo = iv[0].first, hi = iv[0].second;
+  for (std::size_t i = 1; i < iv.size(); ++i) {
+    if (iv[i].first <= hi) {
+      hi = std::max(hi, iv[i].second);
+    } else {
+      acc += hi - lo;
+      lo = iv[i].first;
+      hi = iv[i].second;
+    }
+  }
+  return acc + (hi - lo);
+}
 
 TEST(Instance, FinalizeSortsByArrivalStable) {
   Instance in;
@@ -75,6 +103,30 @@ TEST(Instance, PaperQuantitiesOnKnownInput) {
   EXPECT_EQ(in.max_concurrency(), 2u);
   EXPECT_FALSE(in.is_contiguous());
   EXPECT_TRUE(in.has_integer_times());
+}
+
+// span() sweeps the finalized items in place. Arrivals on a coarse grid
+// tie often, long items nest short ones, and jumps leave gaps no item
+// covers; the sum must match the copy-and-sort sweep bit for bit.
+TEST(Instance, SpanSweepsInPlaceBitForBit) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    std::mt19937_64 rng(seed);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    Instance in;
+    Time block = 0.0;
+    const std::uint64_t n = 1 + rng() % 200;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      if (rng() % 16 == 0) block += 50.0 + 10.0 * unit(rng);  // a gap
+      const Time arrival = block + 0.25 * static_cast<double>(rng() % 41);
+      const Time length =
+          rng() % 8 == 0 ? 5.0 + 20.0 * unit(rng) : 0.1 + unit(rng);
+      in.add(arrival, arrival + length, 0.5);
+    }
+    in.finalize();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(in.span()),
+              std::bit_cast<std::uint64_t>(span_by_copy_and_sort(in)))
+        << "seed " << seed;
+  }
 }
 
 TEST(Instance, LoadProfileMatchesDemandIntegral) {

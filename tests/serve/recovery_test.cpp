@@ -529,11 +529,11 @@ TEST_F(RecoveryTest, TenantStreamMarksSurviveRecoveryAndCompaction) {
 TEST_F(RecoveryTest, WalWriteFailurePoisonsSession) {
   const Instance instance = general_instance(12);
   auto cfg = config("poison", false, 0);
-  // Injected ENOSPC on the 4th append, after a 10-byte short write — the
-  // torn frame a full disk leaves at the tail. Segment write ops 0 and 1
-  // are the v2 magic + header, so frame appends start at match 2 and the
-  // 4th frame is match 5: a 10-byte short write there, hard ENOSPC on
-  // every later write (the disk stays full).
+  // Injected ENOSPC on the 4th offer's write, after a 10-byte short write
+  // — the torn frame a full disk leaves at the tail. Segment write ops 0
+  // and 1 are the magic + header; appends only buffer, and each offer()
+  // commits its frame with one write, so the 4th frame's write is match
+  // 5: a 10-byte short write there, then ENOSPC.
   io::FaultInjectingEnv fault_env(io::Env::posix());
   io::FaultRule rule;
   rule.ops = io::kOpWrite;

@@ -1,5 +1,7 @@
 #include "serve/shard_router.h"
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
@@ -19,6 +21,7 @@
 #include "core/io_env.h"
 #include "core/session.h"
 #include "serve/request_stream.h"
+#include "test_util.h"
 
 namespace cdbp::serve {
 namespace {
@@ -348,6 +351,105 @@ TEST_F(ShardRouterTest, DefaultConfigAckedOffersSurvivePowerLoss) {
   for (const std::uint64_t idx : acked)
     EXPECT_LE(idx, rec.last_stream_index("t"))
         << "offer " << idx << " was acked but did not survive power loss";
+}
+
+// One stream through queues of 1, 7 and 1024 slots, with a slow worker so
+// the larger queues fill: the drained batches differ, the log does not.
+// Segments (rotating), manifests and checkpoints are byte-identical, and
+// recovering them lands on the same cost bits.
+TEST_F(ShardRouterTest, BatchingNeverChangesTheLog) {
+  const std::vector<ServeRequest> stream =
+      generate_stream(StreamGenConfig{300, 5, 8, 5, 64.0});
+  std::map<std::string, std::string> first_files;
+  std::uint64_t first_cost = 0;
+  for (const std::size_t capacity : {1u, 7u, 1024u}) {
+    SCOPED_TRACE("queue capacity " + std::to_string(capacity));
+    fs::remove_all(dir_);
+    RouterConfig rc = config(2);
+    rc.queue_capacity = capacity;
+    rc.worker_delay_us = 20;
+    rc.wal_segment_bytes = 2048;
+    rc.checkpoint_every = 64;
+    std::uint64_t queue_peak = 0;
+    {
+      ShardRouter router(rc, ff_factory(), "ff");
+      for (const ServeRequest& req : stream) ASSERT_TRUE(router.submit(req));
+      router.stop();
+      for (std::size_t i = 0; i < 2; ++i)
+        queue_peak = std::max(queue_peak, router.stats(i).queue_peak);
+    }
+    if (capacity > 1) {
+      EXPECT_GT(queue_peak, 1u);
+    }
+    const std::map<std::string, std::string> files =
+        testutil::dir_bytes(dir_);
+    rc.resume = true;
+    rc.worker_delay_us = 0;
+    ShardRouter recovered(rc, ff_factory(), "ff");
+    recovered.stop();
+    const auto cost = std::bit_cast<std::uint64_t>(recovered.total_cost());
+    if (capacity == 1) {
+      first_files = files;
+      first_cost = cost;
+      continue;
+    }
+    ASSERT_EQ(files.size(), first_files.size());
+    for (const auto& [name, bytes] : files) {
+      ASSERT_TRUE(first_files.count(name) != 0) << name;
+      EXPECT_TRUE(bytes == first_files.at(name)) << name << " differs";
+    }
+    EXPECT_EQ(cost, first_cost);
+  }
+}
+
+// A held worker comes back to a full queue (the default 1024 slots) and
+// drains all of it: one commit — one segment write — covers every queued
+// offer.
+TEST_F(ShardRouterTest, WorkerDrainsItsWholeQueueIntoOneCommit) {
+  io::FaultInjectingEnv env(io::Env::posix());
+  env.set_record_history(true);
+  RouterConfig rc = config(1);
+  rc.env = &env;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t acked = 0;
+  bool released = false;
+  ShardRouter router(rc, ff_factory(), "ff");
+  router.set_on_ack([&](const ServeResult&, AckKind kind) {
+    if (kind != AckKind::kApplied) return;
+    std::unique_lock<std::mutex> lock(mu);
+    ++acked;
+    cv.notify_all();
+    // The first offer's ack holds the worker until the queue is full.
+    cv.wait(lock, [&] { return released; });
+  });
+  const auto submit = [&](std::uint64_t i) {
+    ServeRequest req;
+    req.tenant = "t";
+    req.stream_index = i;
+    req.arrival = static_cast<double>(i);
+    req.departure = static_cast<double>(i) + 4.0;
+    req.size = 0.05;
+    return router.submit(req);
+  };
+  ASSERT_TRUE(submit(1));
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return acked == 1; });
+  }
+  const std::size_t writes = testutil::ops_on(env, io::kOpWrite, ".seg");
+  for (std::uint64_t i = 2; i <= 1 + rc.queue_capacity; ++i)
+    ASSERT_TRUE(submit(i));
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    released = true;
+  }
+  cv.notify_all();
+  router.stop();
+  EXPECT_EQ(acked, 1 + rc.queue_capacity);
+  EXPECT_EQ(router.stats(0).queue_peak, rc.queue_capacity);
+  EXPECT_EQ(router.stats(0).wal_records, 1 + rc.queue_capacity);
+  EXPECT_EQ(testutil::ops_on(env, io::kOpWrite, ".seg"), writes + 1);
 }
 
 TEST_F(ShardRouterTest, LifecycleGuards) {

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <map>
 #include <random>
 #include <string>
@@ -14,7 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include "cli/cli.h"
 #include "parallel/thread_pool.h"
+#include "serve/durable_session.h"
+#include "test_util.h"
 
 namespace cdbp::serve {
 namespace {
@@ -265,17 +267,6 @@ TEST_F(WalSegmentTest, CompactionDeletesOnlyCoveredSealedSegments) {
   EXPECT_EQ(scan.records.back(), records.back());
 }
 
-/// Every file in `dir`, by name, with its bytes.
-std::map<std::string, std::string> dir_bytes(const fs::path& dir) {
-  std::map<std::string, std::string> files;
-  for (const auto& de : fs::directory_iterator(dir)) {
-    std::ifstream in(de.path(), std::ios::binary);
-    files[de.path().filename().string()] =
-        std::string(std::istreambuf_iterator<char>(in), {});
-  }
-  return files;
-}
-
 /// Writes a 5-segment chain, stamps `magic` over segment `victim`'s first
 /// 8 bytes, and requires every reader to refuse the log by that name
 /// without touching a byte of it. An intact header of another format is
@@ -296,7 +287,7 @@ void expect_magic_refused(const std::string& b, std::size_t victim,
                    std::ios::in | std::ios::out | std::ios::binary);
     f.write(magic.data(), 8);
   }
-  const std::map<std::string, std::string> before = dir_bytes(dir);
+  const std::map<std::string, std::string> before = testutil::dir_bytes(dir);
   const auto expect_refusal = [&](const char* who, const auto& read) {
     try {
       read();
@@ -305,7 +296,8 @@ void expect_magic_refused(const std::string& b, std::size_t victim,
       EXPECT_NE(std::string(e.what()).find(magic), std::string::npos)
           << who << ": " << e.what();
     }
-    EXPECT_TRUE(dir_bytes(dir) == before) << who << " modified the log";
+    EXPECT_TRUE(testutil::dir_bytes(dir) == before)
+        << who << " modified the log";
   };
   expect_refusal("validate", [&] { (void)validate_segmented_wal(b); });
   expect_refusal("scan", [&] { (void)scan_segmented_wal(b); });
@@ -418,6 +410,86 @@ TEST_F(WalSegmentTest, MissingSegmentFileEndsThePrefix) {
   EXPECT_FALSE(repaired.torn);
   EXPECT_EQ(repaired.records.size(), keep);
   EXPECT_EQ(repaired.manifest.segments.size(), 1u);
+}
+
+// A commit is one write to the active segment, however many records it
+// covers, and appends write nothing — under either fsync policy. Under
+// kEvery each commit is also one fsync.
+TEST_F(WalSegmentTest, EachCommitIsOneSegmentWrite) {
+  const std::vector<WalRecord> records = sample_records(12, 16);
+  for (const FsyncPolicy policy : {FsyncPolicy::kNone, FsyncPolicy::kEvery}) {
+    SCOPED_TRACE(to_string(policy));
+    const std::string b = base("commit-" + to_string(policy) + ".wal");
+    io::FaultInjectingEnv env;
+    env.set_record_history(true);
+    const auto segment_ops = [&](io::FaultOp op) {
+      return testutil::ops_on(env, op, ".seg");
+    };
+    SegmentedWal::Options opts;
+    opts.policy = policy;
+    opts.env = &env;
+    SegmentedWal wal(b, opts, /*truncate=*/true);
+    const std::size_t writes0 = segment_ops(io::kOpWrite);
+    const std::size_t fsyncs0 = segment_ops(io::kOpFsync);
+    std::size_t appended = 0, commits = 0;
+    for (const std::size_t batch : {1u, 4u, 7u}) {
+      for (std::size_t k = 0; k < batch; ++k) wal.append(records[appended++]);
+      EXPECT_EQ(segment_ops(io::kOpWrite), writes0 + commits);
+      EXPECT_EQ(validate_segmented_wal(b).record_count, appended - batch);
+      wal.commit();
+      ++commits;
+      EXPECT_EQ(segment_ops(io::kOpWrite), writes0 + commits);
+      EXPECT_EQ(segment_ops(io::kOpFsync),
+                fsyncs0 + (policy == FsyncPolicy::kEvery ? commits : 0));
+      EXPECT_EQ(validate_segmented_wal(b).record_count, appended);
+    }
+    wal.commit();  // nothing appended since the last commit
+    wal.close();
+    EXPECT_EQ(segment_ops(io::kOpWrite), writes0 + commits);
+    expect_same_records(scan_segmented_wal(b).records, records, "committed");
+  }
+}
+
+// A failed write at commit poisons the session and drops the batch it was
+// writing: nothing writes it again, the destructor's close() included.
+TEST_F(WalSegmentTest, EnospcAtCommitPoisonsAndNothingIsWrittenAfter) {
+  io::FaultInjectingEnv env;
+  env.set_record_history(true);
+  // Segment writes 0 and 1 are the header, 2 is the first commit's; the
+  // second commit's write puts 10 bytes on disk, and the retry of its
+  // remainder (write 4) fails ENOSPC. Any later write attempt would show
+  // in the op history, failed or not.
+  env.add_rule({io::kOpWrite, ".seg", 3, io::FaultKind::kEnospc, 10});
+  DurableSessionConfig cfg;
+  cfg.wal_path = base("poison.wal");
+  cfg.checkpoint_path = base("poison.ckpt");
+  cfg.env = &env;
+  const std::vector<WalRecord> records = sample_records(5, 17);
+  std::size_t writes_at_failure = 0;
+  {
+    DurableSession s(cli::make_algorithm("ff"), "ff", cfg);
+    const auto offer = [&](std::size_t i) {
+      (void)s.offer_deferred(records[i].arrival, records[i].departure,
+                             records[i].size, i + 1);
+    };
+    offer(0);
+    offer(1);
+    s.commit();
+    offer(2);
+    offer(3);
+    EXPECT_THROW(s.commit(), std::runtime_error);
+    EXPECT_TRUE(s.failed());
+    writes_at_failure = testutil::ops_on(env, io::kOpWrite, ".seg");
+    EXPECT_EQ(writes_at_failure, 5u);
+    EXPECT_THROW(offer(4), std::runtime_error);
+    EXPECT_THROW(s.commit(), std::runtime_error);
+  }
+  EXPECT_EQ(testutil::ops_on(env, io::kOpWrite, ".seg"), writes_at_failure);
+  // The first commit's records survive; the failed batch left only a torn
+  // tail behind them.
+  const SegmentedWalScan scan = validate_segmented_wal(cfg.wal_path);
+  EXPECT_EQ(scan.record_count, 2u);
+  EXPECT_TRUE(scan.torn);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include "core/checkpoint.h"
 #include "core/frame.h"
+#include "test_util.h"
 
 namespace cdbp::serve {
 namespace {
@@ -446,6 +447,42 @@ TEST_F(WalTest, ReadErrorThrowsAndEintrStormIsAbsorbed) {
   EXPECT_EQ(env.faults_injected(), 24u);
   EXPECT_FALSE(r.torn);
   EXPECT_EQ(r.records, records);
+}
+
+// append() only encodes: the frames reach the file with flush()'s one
+// write, and a frame still buffered is absent from the file until close()
+// writes it. The bytes are those of writing each frame on its own.
+TEST_F(WalTest, AppendsBufferAndEachFlushIsOneWrite) {
+  const std::string file = path("buffered.wal");
+  const std::vector<WalRecord> records = sample_records(7, 31);
+  for (const FsyncPolicy policy : {FsyncPolicy::kNone, FsyncPolicy::kEvery}) {
+    SCOPED_TRACE(to_string(policy));
+    io::FaultInjectingEnv env;
+    env.set_record_history(true);
+    const auto writes = [&] {
+      return testutil::ops_on(env, io::kOpWrite, "buffered.wal");
+    };
+    WalWriter w(file, policy, /*truncate=*/true, 0, &env);
+    EXPECT_EQ(writes(), 2u);  // magic + header frame, unbuffered
+    for (std::size_t i = 0; i < 3; ++i) w.append(records[i]);
+    EXPECT_EQ(writes(), 2u);
+    EXPECT_EQ(w.file_bytes(), kSegmentHeaderBytes + 3 * kOfferFrameBytes);
+    EXPECT_EQ(fs::file_size(file), kSegmentHeaderBytes);
+    w.flush();
+    EXPECT_EQ(writes(), 3u);
+    EXPECT_EQ(read_wal(file).records.size(), 3u);
+    w.flush();  // nothing buffered: no write
+    EXPECT_EQ(writes(), 3u);
+    for (std::size_t i = 3; i < records.size(); ++i) w.append(records[i]);
+    EXPECT_EQ(read_wal(file).records.size(), 3u);
+    w.close();
+    EXPECT_EQ(writes(), 4u);
+    const WalReadResult r = read_wal(file);
+    EXPECT_FALSE(r.torn) << r.tail_error;
+    EXPECT_EQ(r.records, records);
+    EXPECT_EQ(fs::file_size(file),
+              kSegmentHeaderBytes + records.size() * kOfferFrameBytes);
+  }
 }
 
 TEST_F(WalTest, AppendAfterCloseThrows) {

@@ -1,9 +1,14 @@
 // Shared helpers for the libcdbp test suites.
 #pragma once
 
+#include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "algos/any_fit.h"
@@ -12,6 +17,7 @@
 #include "algos/hybrid.h"
 #include "core/algorithm.h"
 #include "core/instance.h"
+#include "core/io_env.h"
 
 namespace cdbp::testutil {
 
@@ -22,6 +28,28 @@ inline Instance make_instance(
   for (const auto& [a, d, s] : items) out.add(a, d, s);
   out.finalize();
   return out;
+}
+
+/// Operations of kind `op` that `env` (recording its history) saw on paths
+/// containing `part` (".seg" = WAL segments).
+inline std::size_t ops_on(const io::FaultInjectingEnv& env, io::FaultOp op,
+                          std::string_view part) {
+  std::size_t n = 0;
+  for (const io::OpRecord& rec : env.history())
+    if (rec.op == op && rec.path.find(part) != std::string::npos) ++n;
+  return n;
+}
+
+/// Every file in `dir`, by name, with its bytes.
+inline std::map<std::string, std::string> dir_bytes(
+    const std::filesystem::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& de : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(de.path(), std::ios::binary);
+    files[de.path().filename().string()] =
+        std::string(std::istreambuf_iterator<char>(in), {});
+  }
+  return files;
 }
 
 /// A named algorithm factory, used by parameterized suites.
