@@ -35,9 +35,9 @@
 
 #include "algos/any_fit.h"
 #include "bench_common.h"
+#include "chaos/net_chaos.h"
 #include "net/client.h"
 #include "net/listener.h"
-#include "net/net_chaos.h"
 #include "obs/snapshot.h"
 #include "report/table.h"
 #include "serve/request_stream.h"

@@ -31,7 +31,6 @@
 #include "core/frame.h"
 #include "net/client.h"
 #include "net/listener.h"
-#include "net/net_chaos.h"
 #include "net/protocol.h"
 #include "core/simulator.h"
 #include "core/transforms.h"
@@ -49,7 +48,6 @@
 #include "parallel/thread_pool.h"
 #include "report/ascii_chart.h"
 #include "report/table.h"
-#include "serve/chaos.h"
 #include "serve/request_stream.h"
 #include "serve/shard_router.h"
 #include "serve/stats_exporter.h"
@@ -101,7 +99,7 @@ class Flags {
         throw std::invalid_argument("expected --flag, got '" + *it + "'");
       const std::string key = it->substr(2);
       if (key == "gantt" || key == "validate" || key == "resume" ||
-          key == "stream" || key == "allow-loss" || key == "net") {
+          key == "stream" || key == "allow-loss") {
         values_[key] = "true";
       } else {
         if (++it == end)
@@ -324,13 +322,6 @@ void print_usage(std::ostream& out) {
       << "             unexpected loss unless --allow-loss)\n"
       << "  recover   --algo ALGO --wal-dir DIR [--shards N]\n"
       << "  wal-dump  --wal FILE|BASE    (single file, or segmented base)\n"
-      << "  chaos     --dir DIR [--seeds S1,S2,...] [--random N]\n"
-      << "            [--algo ALGO] [--offers N] [--checkpoint-every N]\n"
-      << "            [--wal-segment-bytes B] [--max-points N] [--net]\n"
-      << "            (fault-injection matrix over the serve plane; every\n"
-      << "             failure prints its seed for replay; exit 1 on any\n"
-      << "             durability-contract violation; --net swaps in the\n"
-      << "             socket-fault matrix against a live loopback listener)\n"
       << "algorithms:";
   for (const std::string& name : algorithm_names()) out << " " << name;
   out << "\n";
@@ -1166,87 +1157,6 @@ int cmd_wal_dump(Flags& flags, std::ostream& out) {
   return 0;
 }
 
-/// `cdbp chaos`: the fault-injection matrix as a command — the same engine
-/// the tier-1 fault_matrix_test runs on fixed seeds, here pointed at
-/// arbitrary or randomized seeds for CI soaking. Any violation prints the
-/// seed (the whole matrix is deterministic in it) so a red soak reproduces
-/// locally with `--seeds <seed>`.
-int cmd_chaos(Flags& flags, std::ostream& out, std::ostream& err) {
-  serve::ChaosConfig cc;
-  cc.dir = flags.require("dir");
-  const std::string algo_name = flags.get("algo").value_or("ff");
-  const auto seeds_csv = flags.get("seeds");
-  const auto random_n = flags.count<std::size_t>("random", 0);
-  cc.offers = flags.count<std::size_t>("offers", 48);
-  cc.checkpoint_every = flags.count<std::uint64_t>("checkpoint-every", 16);
-  cc.wal_segment_bytes = flags.count<std::uint64_t>("wal-segment-bytes", 512);
-  cc.max_points_per_kind = flags.count<std::size_t>("max-points", 16);
-  const bool net_mode = flags.get("net").has_value();
-  flags.finish();
-
-  cc.seeds.clear();
-  if (seeds_csv) {
-    for (std::size_t pos = 0; pos <= seeds_csv->size();) {
-      const std::size_t comma =
-          std::min(seeds_csv->find(',', pos), seeds_csv->size());
-      if (comma > pos)
-        cc.seeds.push_back(parse_count<std::uint64_t>(
-            seeds_csv->substr(pos, comma - pos), "--seeds"));
-      pos = comma + 1;
-    }
-  }
-  if (random_n > 0) {
-    std::random_device rd;
-    for (std::size_t i = 0; i < random_n; ++i)
-      cc.seeds.push_back((static_cast<std::uint64_t>(rd()) << 32) | rd());
-  }
-  if (cc.seeds.empty()) cc.seeds = {1, 2, 3};
-  cc.algo_name = algo_name;
-  cc.make_algo = [algo_name] { return make_algorithm(algo_name); };
-  cc.log = &err;
-
-  if (net_mode) {
-    // `--net`: the socket-fault matrix (src/net/net_chaos.h) instead of the
-    // disk matrix — faults on accept/read/write of a live loopback listener.
-    net::NetChaosConfig nc;
-    nc.dir = cc.dir;
-    nc.seeds = cc.seeds;
-    nc.make_algo = cc.make_algo;
-    nc.algo_name = cc.algo_name;
-    nc.offers = cc.offers;
-    nc.log = &err;
-    out << "chaos[net]: seeds";
-    for (const std::uint64_t s : nc.seeds) out << " " << s;
-    out << "\n";
-    const net::NetChaosReport rep = net::run_net_chaos(nc);
-    for (const net::NetChaosFailure& f : rep.failures)
-      out << "FAIL seed=" << f.seed << " fault=" << f.fault << ": "
-          << f.detail << "\n"
-          << "  reproduce: cdbp chaos --net --dir " << nc.dir << " --seeds "
-          << f.seed << "\n";
-    out << "chaos[net]: " << rep.cases << " cases, " << rep.faulted
-        << " faulted, " << rep.transparent << " transparent, "
-        << rep.conns_killed << " conns-killed, " << rep.failures.size()
-        << " violations\n";
-    return rep.ok() ? 0 : 1;
-  }
-
-  out << "chaos: seeds";
-  for (const std::uint64_t s : cc.seeds) out << " " << s;
-  out << "\n";
-  const serve::ChaosReport report = serve::run_chaos_matrix(cc);
-  for (const serve::ChaosFailure& f : report.failures)
-    out << "FAIL seed=" << f.seed << " fault=" << f.fault << " op=" << f.op
-        << ": " << f.detail << "\n"
-        << "  reproduce: cdbp chaos --dir " << cc.dir << " --seeds " << f.seed
-        << "\n";
-  out << "chaos: " << report.cases << " cases, " << report.faulted
-      << " faulted, " << report.recoveries << " recoveries, "
-      << report.transparent << " transparent, " << report.failures.size()
-      << " violations\n";
-  return report.ok() ? 0 : 1;
-}
-
 }  // namespace
 
 AlgorithmPtr make_algorithm(const std::string& name, double mu_hint) {
@@ -1300,7 +1210,6 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     if (args[0] == "client") return cmd_client(flags, out);
     if (args[0] == "recover") return cmd_recover(flags, out, err);
     if (args[0] == "wal-dump") return cmd_wal_dump(flags, out);
-    if (args[0] == "chaos") return cmd_chaos(flags, out, err);
     err << "unknown command '" << args[0] << "'\n";
     print_usage(err);
     return 2;

@@ -53,8 +53,8 @@ struct ClientReport {
   std::uint64_t conns_failed = 0;
   std::map<std::uint16_t, std::uint64_t> errors_by_code;
   /// Stream indices acked kApplied — the client's durability claim set.
-  /// The net chaos driver and the CI soak check every one of these against
-  /// what the server actually holds after recovery.
+  /// The network fault matrix and E18 check every one of these against
+  /// the records its shard's WAL holds.
   std::vector<std::uint64_t> applied_ids;
   /// Client-observed offer->ack round-trip latencies, microseconds,
   /// unsorted. Percentiles are exact (computed by the caller via sort).

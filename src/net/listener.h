@@ -27,9 +27,9 @@
 //    over-limit tenants to the typed kQuota error; the connection stays
 //    usable.
 //
-// All socket I/O flows through io::Env (net_accept/net_read/net_write are
-// FaultInjectingEnv fault points), so the chaos driver can storm EAGAIN,
-// cut writes short, or power-cut the network path.
+// All socket I/O flows through io::Env (net_accept/net_read/net_write can
+// be fault points of a test `io::Env`), so a test can storm EAGAIN, cut
+// writes short, or power-cut the network path.
 #pragma once
 
 #include <atomic>

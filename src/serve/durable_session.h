@@ -100,7 +100,7 @@ struct DurableSessionConfig {
   parallel::ThreadPool* recovery_pool = nullptr;
   /// I/O environment every durability-critical byte flows through (WAL
   /// segments, manifest, checkpoint file). nullptr = the real filesystem;
-  /// tests pass a FaultInjectingEnv (core/io_env.h) to schedule faults.
+  /// a test `io::Env` can schedule faults against it.
   io::Env* env = nullptr;
 };
 

@@ -100,8 +100,8 @@ struct RouterConfig {
   /// whole log.
   bool final_checkpoint = false;
   /// I/O environment every shard's durability path flows through. nullptr =
-  /// the real filesystem; chaos tests pass a FaultInjectingEnv to fail one
-  /// shard's disk while the others keep serving.
+  /// the real filesystem; a test `io::Env` can fail one shard's disk while
+  /// the others keep serving.
   io::Env* env = nullptr;
 };
 

@@ -68,7 +68,7 @@ enum class FsyncPolicy { kNone, kEvery };
 /// (A file fsync persists the file's bytes; the *directory entry* pointing
 /// at them lives in the parent directory and needs its own fsync, or a
 /// power loss can forget an "acked" rename.) `env` = nullptr uses the real
-/// filesystem; a FaultInjectingEnv makes this a scheduled fault point.
+/// filesystem; a test `io::Env` can make this a scheduled fault point.
 void fsync_parent_dir(const std::string& path, io::Env* env = nullptr);
 
 /// One logged placement decision.
@@ -104,7 +104,7 @@ class WalWriter {
   /// header is fsynced (file + parent directory) so an empty-but-created
   /// log survives power loss, and close() syncs an unsynced tail.
   /// All I/O flows through `env` (nullptr = the real filesystem), so a
-  /// FaultInjectingEnv can schedule short writes, ENOSPC, and fsync faults
+  /// test `io::Env` can schedule short writes, ENOSPC, and fsync faults
   /// against every byte this writer emits.
   WalWriter(std::string path, FsyncPolicy policy, bool truncate,
             std::uint64_t base_seq = 0, io::Env* env = nullptr);

@@ -148,8 +148,8 @@ class SegmentedWal final : public WalSyncable {
     /// coordinator instead of a private fsync.
     GroupCommitCoordinator* group_commit = nullptr;
     /// I/O environment for every byte this log touches (segments, manifest,
-    /// repairs). nullptr = the real filesystem; tests pass a
-    /// FaultInjectingEnv to schedule faults against any operation.
+    /// repairs). nullptr = the real filesystem; a test `io::Env` can
+    /// schedule faults against any operation.
     io::Env* env = nullptr;
   };
 

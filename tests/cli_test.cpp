@@ -824,23 +824,6 @@ TEST(Cli, GenerateShapesAccepted) {
   }
 }
 
-// `chaos --random N` draws 64-bit seeds and prints `--seeds <seed>` to
-// replay a failure; that command must take the seed it printed (this one
-// came from `--random 1`).
-TEST(Cli, ChaosReplaysASixtyFourBitSeed) {
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "cdbp_cli_chaos_seed";
-  fs::remove_all(dir);
-  const CliRun r = cli({"chaos", "--dir", dir.string(), "--seeds",
-                        "1985638915283285159", "--offers", "4",
-                        "--max-points", "1"});
-  EXPECT_EQ(r.code, 0) << r.err;
-  EXPECT_EQ(r.out.substr(0, r.out.find('\n')),
-            "chaos: seeds 1985638915283285159")
-      << r.out;
-  fs::remove_all(dir);
-}
-
 // A number is the whole token: no trailing bytes, and no sign on a count
 // (a negative count once wrapped to a huge unsigned value).
 TEST(Cli, NumericFlagsAreParsedWhole) {
@@ -861,6 +844,15 @@ TEST(Cli, NumericFlagsAreParsedWhole) {
       cli({"gen-stream", "--out", items_out, "--items", "20x"});
   EXPECT_EQ(items.code, 1);
   EXPECT_NE(items.err.find("--items"), std::string::npos) << items.err;
+
+  // A seed takes all 64 bits, and one past them is refused, not wrapped.
+  const CliRun wide = cli({"gen-stream", "--out", items_out, "--items", "4",
+                           "--seed", "1985638915283285159"});
+  EXPECT_EQ(wide.code, 0) << wide.err;
+  const CliRun over = cli({"gen-stream", "--out", items_out, "--items", "4",
+                           "--seed", "18446744073709551616"});
+  EXPECT_EQ(over.code, 1);
+  EXPECT_NE(over.err.find("--seed"), std::string::npos) << over.err;
 
   const std::string inst = temp_file("cdbp_cli_whole_inst.csv");
   ASSERT_EQ(cli({"generate", "--kind", "binary", "--n", "3", "--out", inst})

@@ -1,8 +1,8 @@
 // FaultInjectingEnv model tests: the deterministic fault scheduler, the
 // bounded transient-retry helpers, and the pessimal power-loss durability
 // image (file data to last fsync, entries to last parent-dir fsync, torn
-// renames, resurrected unlinks). The chaos matrix (fault_matrix_test.cpp)
-// builds on every property verified here.
+// renames, resurrected unlinks). The chaos matrices (fault_matrix_test.cpp)
+// build on every property verified here.
 #include "core/io_env.h"
 
 #include <algorithm>
@@ -12,6 +12,8 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "chaos/fault_env.h"
 
 namespace cdbp::io {
 namespace {

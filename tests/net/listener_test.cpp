@@ -24,9 +24,9 @@
 
 #include <gtest/gtest.h>
 
+#include "chaos/net_chaos.h"
 #include "cli/cli.h"
 #include "net/client.h"
-#include "net/net_chaos.h"
 #include "net/protocol.h"
 #include "serve/request_stream.h"
 #include "serve/shard_router.h"

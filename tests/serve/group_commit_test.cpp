@@ -20,8 +20,8 @@
 
 #include <gtest/gtest.h>
 
+#include "chaos/fault_env.h"
 #include "cli/cli.h"
-#include "core/io_env.h"
 #include "serve/durable_session.h"
 
 namespace cdbp::serve {

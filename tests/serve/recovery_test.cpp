@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "chaos/fault_env.h"
 #include "cli/cli.h"
 #include "workloads/aligned_random.h"
 #include "workloads/general_random.h"

@@ -21,8 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include "chaos/fault_env.h"
 #include "cli/cli.h"
-#include "core/io_env.h"
 
 namespace cdbp::serve {
 namespace {

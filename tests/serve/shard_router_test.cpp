@@ -17,8 +17,8 @@
 #include "ack_log.h"
 #include "algos/any_fit.h"
 #include "algos/hybrid.h"
+#include "chaos/fault_env.h"
 #include "cli/cli.h"
-#include "core/io_env.h"
 #include "core/session.h"
 #include "serve/request_stream.h"
 #include "test_util.h"

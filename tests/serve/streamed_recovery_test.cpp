@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "chaos/fault_env.h"
 #include "cli/cli.h"
 #include "core/checkpoint.h"
 #include "core/frame.h"

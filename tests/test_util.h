@@ -15,9 +15,9 @@
 #include "algos/cdff.h"
 #include "algos/classify.h"
 #include "algos/hybrid.h"
+#include "chaos/fault_env.h"
 #include "core/algorithm.h"
 #include "core/instance.h"
-#include "core/io_env.h"
 
 namespace cdbp::testutil {
 
